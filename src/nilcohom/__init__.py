@@ -9,8 +9,8 @@ The package is organised in layers:
   Eilenberg cohomology, rational structures and lattices.
 * :mod:`nilcohom.cxstruct` -- complex structures, integrability, the
   bigraded invariant complex and Hodge tables, hypothesis checking.
-* :mod:`nilcohom.specseq` -- spectral sequences of finite filtered
-  complexes.
+* :mod:`nilcohom.specseq` -- spectral sequences of finite complexes
+  with a monomial (weight) filtration, by column reduction.
 * :mod:`nilcohom.toroidal` -- period matrices, the Remmert-Morimoto
   splitting, the theta/wild Diophantine dichotomy, leaf analysis.
 * :mod:`nilcohom.catalog` / :mod:`nilcohom.cli` -- built-in algebra

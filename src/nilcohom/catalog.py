@@ -27,7 +27,12 @@ import json
 from fractions import Fraction
 
 from .cxstruct import AlmostComplexStructure, is_integrable
-from .errors import ParseError, StructureError, UnsupportedError
+from .errors import (
+    ParseError,
+    StructureError,
+    UnsupportedError,
+    input_errors_as_parse_error,
+)
 from .exact.fields import QuadSurd, build_field, complexify
 from .exact.linalg import Matrix
 from .exact.numbers import ExactRational, QuadraticSurd
@@ -150,6 +155,7 @@ def resolve_complex_structure(g: LieAlgebra, spec) -> AlmostComplexStructure:
         g, Matrix(g.field, [[Fraction(x) for x in r] for r in spec]))
 
 
+@input_errors_as_parse_error("--param value")
 def parse_number_override(text):
     """CLI value specs: '1/2', 'sqrt:2', 'quadratic:A,B,C[,root]',
     'formal', 'liouville10', 'power-tower[:base,start]'."""

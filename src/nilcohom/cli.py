@@ -8,7 +8,8 @@ byte-stable for identical inputs and tool version.
 Exit codes: 0 success, 2 parse/input error, 3 mathematical validation
 failure, 4 unsupported configuration.  The default scan bound for
 Diophantine searches is 1000, overridable with the environment
-variable NILCOHOM_SCAN_BOUND or ``--scan``.
+variable NILCOHOM_SCAN_BOUND or ``--scan``; a value that is not a
+positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .liealg import (
     pretty_structure_equations,
 )
 from .toroidal import (
+    DEFAULT_SCAN_BOUND,
     load_period_file,
     remmert_morimoto,
     theta_classify,
@@ -66,11 +68,29 @@ EXIT_MATH = 3
 EXIT_UNSUPPORTED = 4
 
 
-def default_scan_bound() -> int:
+def _positive_scan_bound(value, source) -> int:
     try:
-        return int(os.environ.get("NILCOHOM_SCAN_BOUND", "1000"))
+        bound = int(value)
     except ValueError:
-        return 1000
+        bound = 0
+    if bound <= 0:
+        raise ParseError(f"{source} must be a positive integer, got {value!r}")
+    return bound
+
+
+def default_scan_bound() -> int:
+    """NILCOHOM_SCAN_BOUND when set, else the built-in default."""
+    text = os.environ.get("NILCOHOM_SCAN_BOUND")
+    if text is None:
+        return DEFAULT_SCAN_BOUND
+    return _positive_scan_bound(text, "NILCOHOM_SCAN_BOUND")
+
+
+def scan_bound(args) -> int:
+    """The scan bound of a command: ``--scan``, else the default."""
+    if args.scan is None:
+        return default_scan_bound()
+    return _positive_scan_bound(args.scan, "--scan")
 
 
 def jsonable(x):
@@ -176,6 +196,7 @@ def _verdict_payload(verdict):
 
 
 def cmd_toroidal(args) -> int:
+    scan = scan_bound(args)
     pd = load_period_file(args.period_file)
     nf = toroidal_normalize(pd)
     rm = remmert_morimoto(pd)
@@ -213,12 +234,12 @@ def cmd_toroidal(args) -> int:
         source = binding
     if args.convergents:
         source = convergent_family(args.convergents)
-    verdict = theta_classify(nf.R, pd.bindings, scan_bound=args.scan,
+    verdict = theta_classify(nf.R, pd.bindings, scan_bound=scan,
                              convergent_source=source)
     results["verdict"] = _verdict_payload(verdict)
     lines.append(f"verdict: {verdict!r}")
     emit(make_report("toroidal",
-                     {"period_file": args.period_file, "scan": args.scan,
+                     {"period_file": args.period_file, "scan": scan,
                       "convergents": args.convergents},
                      results), lines, args.json)
     return EXIT_OK
@@ -239,6 +260,7 @@ def _parse_basis_arg(text, field, n):
 
 
 def cmd_verify_theorem(args) -> int:
+    scan = scan_bound(args)
     g, entry = resolve_algebra(args.algebra)
     overrides = {}
     for item in args.param or []:
@@ -261,7 +283,7 @@ def cmd_verify_theorem(args) -> int:
     g0 = span_of_frame(J, args.g0.split(","))
     report = conjecture_status(g2, J, data.qstructure, f, f0, g0,
                                param_spec=data.param_spec,
-                               scan_bound=args.scan)
+                               scan_bound=scan)
     results = {
         "checklist": [{"item": name, "status": status, "detail": detail}
                       for name, status, detail in report.items],
@@ -363,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"nilcohom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    scan_help = ("positive scan bound (default: NILCOHOM_SCAN_BOUND or "
+                 f"{DEFAULT_SCAN_BOUND})")
 
     p = sub.add_parser("check", help="parse and validate an algebra")
     p.add_argument("algebra")
@@ -383,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toroidal",
                        help="normalise a period file and classify")
     p.add_argument("period_file")
-    p.add_argument("--scan", type=int, default=default_scan_bound())
+    p.add_argument("--scan", default=None, help=scan_help)
     p.add_argument("--convergents", default=None,
                    help="convergent family for the formal parameter, "
                         "e.g. liouville10 or power-tower:2,4")
@@ -404,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    help="substitute a declared number, e.g. a=1/2 or "
                         "a=sqrt:2 or a=power-tower:2,4")
-    p.add_argument("--scan", type=int, default=default_scan_bound())
+    p.add_argument("--scan", default=None, help=scan_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_theorem)
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class NilcohomError(Exception):
     """Base class for all package errors."""
@@ -30,3 +32,25 @@ class UnsupportedError(NilcohomError):
 class PrecisionUnavailable(NilcohomError):
     """A certified enclosure source was exhausted before reaching the
     requested width."""
+
+
+def input_errors_as_parse_error(what):
+    """Decorator for functions that turn user documents into values:
+    the arithmetic and lookup errors a malformed document raises
+    (division by zero, bad literals, missing keys, wrong types) become
+    a ParseError naming ``what``."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (ZeroDivisionError, ValueError, KeyError, TypeError) as exc:
+                if isinstance(exc, KeyError):
+                    detail = f"missing key {exc}"
+                elif isinstance(exc, ZeroDivisionError):
+                    detail = f"division by zero ({exc})"
+                else:
+                    detail = str(exc)
+                raise ParseError(f"malformed {what}: {detail}") from None
+        return wrapper
+    return decorate

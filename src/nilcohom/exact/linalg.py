@@ -245,8 +245,7 @@ def invert(m: Matrix) -> Matrix:
         raise ValueError("only square matrices invert")
     n = m.nrows
     red, rk, pivots = rref(m.augment(Matrix.identity(m.field, n)))
-    if any(p >= n for p in pivots[:n]) or len(pivots) < n \
-            or pivots[n - 1] >= n:
+    if len(pivots) < n or any(p >= n for p in pivots[:n]):
         raise ValueError("matrix is singular")
     return Matrix(m.field, [r[n:] for r in red.rows], ncols=n)
 

@@ -1,19 +1,33 @@
 """Spectral sequences of finite filtered cochain complexes.
 
-Pages are computed by explicit linear algebra on the classical
-subspaces Z_r = F^p meet d^{-1} F^{p+r}: no derived machinery, only
-kernels, images, sums and intersections over an exact field.  The two
-instances used downstream are the column filtration of the bigraded
-invariant complex and the subalgebra (annihilator) filtration of a
-Lie algebra complex with module coefficients; the latter's second page
-is recomputed independently as cohomology-of-cohomology and compared.
+Both filtrations used downstream are *monomial*: the column filtration
+of the bigraded invariant complex and the subalgebra (annihilator)
+filtration of a Lie algebra complex with module coefficients.  Each is
+given by one integer weight per basis vector; basis vector i of C^k
+lies in F^p exactly when its weight is >= p.
+
+All pages then follow from one persistence-style column reduction of
+each differential d_k (Zomorodian-Carlsson, *Computing persistent
+homology*; Basu-Parida, *Spectral sequences, exact couples and
+persistent homology of filtrations*).  Columns are taken in order of
+decreasing weight, a column only ever has earlier columns added to it,
+and its pivot is its least-filtered nonzero row.  A pair (column j,
+pivot row i) of weight gap r = w(i) - w(j) is one rank of d_r at
+(w(j), k - w(j)); a basis vector of weight p survives to E_r^{p,q}
+when it is unpaired or paired at a gap >= r.  Representatives come
+from the reduction too: the column-operation vector V_j for a column,
+the reduced column R_j = d V_j for the pivot row it ends on.  The
+second page of the Lie algebra instance is recomputed independently
+as cohomology-of-cohomology and compared.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from .errors import StructureError, UnsupportedError
+from .exact.fields import _inv
 from .exact.linalg import Matrix, Subspace, kernel_basis, rank, solve
 from .cxstruct import (
     AlmostComplexStructure,
@@ -27,18 +41,21 @@ from .liealg import LieAlgebra, exterior_differential, wedge_basis, wedge_merge
 
 
 class FilteredComplex:
-    """A finite cochain complex with a bounded decreasing filtration
-    preserved by the differential."""
+    """A finite cochain complex with a monomial decreasing filtration
+    preserved by the differential: basis vector i of C^k lies in F^p
+    exactly when ``weights[k][i] >= p``."""
 
-    def __init__(self, field, dims, d, filtration, validate=True):
+    def __init__(self, field, dims, d, weights, validate=True):
         self.field = field
         self.dims = dict(dims)
         self.degrees = sorted(self.dims)
         self.d = dict(d)
-        self.filtration = {k: list(v) for k, v in filtration.items()}
-        self.plevels = max(len(v) - 1 for v in self.filtration.values())
+        self.weights = {k: list(v) for k, v in weights.items()}
         if validate:
             self._validate()
+        # F^plevels is zero in every degree
+        self.plevels = 1 + max((w for ws in self.weights.values() for w in ws),
+                               default=0)
 
     def _validate(self):
         for k in self.degrees[:-1]:
@@ -49,41 +66,35 @@ class FilteredComplex:
                 raise StructureError(f"differential shape mismatch at {k}")
         for k in self.degrees:
             if k in self.d and (k + 1) in self.d:
-                prod = self.d[k + 1] * self.d[k]
-                if not prod.is_zero():
-                    raise StructureError(f"d o d nonzero at degree {k}")
+                after = _sparse_columns(self.d[k + 1])
+                for col in _sparse_columns(self.d[k]):
+                    image = {}
+                    for i, x in col.items():
+                        _add_multiple(image, x, after[i])
+                    if image:
+                        raise StructureError(f"d o d nonzero at degree {k}")
         for k in self.degrees:
-            chain = self.filtration.get(k, [])
-            if not chain:
-                raise StructureError(f"missing filtration at degree {k}")
-            if chain[0].dim != self.dims[k]:
+            ws = self.weights.get(k)
+            if ws is None:
+                raise StructureError(f"missing weights at degree {k}")
+            if len(ws) != self.dims[k]:
                 raise StructureError(
-                    f"filtration not exhaustive at degree {k}")
-            if chain[-1].dim != 0:
-                raise StructureError(f"filtration not bounded at degree {k}")
-            for p in range(len(chain) - 1):
-                if not (chain[p + 1] <= chain[p]):
-                    raise StructureError(
-                        f"filtration not decreasing at degree {k}, "
-                        f"level {p + 1}")
+                    f"{len(ws)} weights for the {self.dims[k]} basis vectors "
+                    f"of degree {k}")
+            if any(not isinstance(w, int) or w < 0 for w in ws):
+                raise StructureError(
+                    f"weights at degree {k} must be non-negative integers")
         for k in self.degrees:
             if k not in self.d:
                 continue
-            for p, sub in enumerate(self.filtration[k]):
-                img = sub.image_under(self.d[k])
-                if not (img <= self.F(p, k + 1)):
-                    raise StructureError(
-                        "filtration not preserved by d",
-                        witness=(k, p))
-
-    def F(self, p, k) -> Subspace:
-        dim_k = self.dims.get(k, 0)
-        if p <= 0:
-            return Subspace.full(self.field, dim_k)
-        chain = self.filtration.get(k)
-        if chain is None or p >= len(chain):
-            return Subspace.zero(self.field, dim_k)
-        return chain[p]
+            src, tgt = self.weights[k], self.weights.get(k + 1, [])
+            # F^p C^k maps outside F^p C^{k+1} for w(i) < p <= w(j)
+            worst = min((tgt[i] + 1 for i, row in enumerate(self.d[k].rows)
+                         for j, x in enumerate(row) if x and tgt[i] < src[j]),
+                        default=None)
+            if worst is not None:
+                raise StructureError("filtration not preserved by d",
+                                     witness=(k, worst))
 
     def total_cohomology(self):
         out = {}
@@ -125,43 +136,99 @@ class SpectralPages:
                 f"E_inf={self.table(len(self.pages) - 1)})")
 
 
+def _sparse_columns(mat: Matrix):
+    """Columns of ``mat`` as dicts row -> nonzero entry."""
+    cols = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _add_multiple(target, f, src):
+    """target += f * src for sparse vectors (dicts index -> scalar)."""
+    for i, x in src.items():
+        y = target.get(i)
+        y = f * x if y is None else y + f * x
+        if y:
+            target[i] = y
+        else:
+            target.pop(i, None)
+
+
+def _reduce(mat: Matrix, wsrc, wtgt):
+    """Persistence reduction R = mat V of one differential.
+
+    Columns go in order of decreasing weight (ties by index) and only
+    earlier columns are added to a column; a reduced column's pivot is
+    its least-filtered nonzero row.  Returns (pivot_col, R, V):
+    ``pivot_col`` maps each pivot row to its column, R[j] and V[j] are
+    sparse dicts with R[j] = mat V[j], and every nonzero R[j] is
+    scaled to 1 at its pivot.
+    """
+    one = mat.field.one()
+    row_pos = {i: pos for pos, i in enumerate(
+        sorted(range(mat.nrows), key=lambda i: (-wtgt[i], i)))}
+    cols = _sparse_columns(mat)
+    pivot_col, R, V = {}, {}, {}
+    for j in sorted(range(mat.ncols), key=lambda j: (-wsrc[j], j)):
+        col = cols[j]
+        vec = {j: one}
+        while col:
+            low = max(col, key=row_pos.__getitem__)
+            other = pivot_col.get(low)
+            if other is None:
+                inv = _inv(col[low])
+                col = {i: x * inv for i, x in col.items()}
+                vec = {i: x * inv for i, x in vec.items()}
+                pivot_col[low] = j
+                break
+            f = -col[low]
+            _add_multiple(col, f, R[other])
+            _add_multiple(vec, f, V[other])
+        R[j], V[j] = col, vec
+    return pivot_col, R, V
+
+
 def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
     """All pages of the spectral sequence of a filtered complex,
     iterated until the differentials vanish on two consecutive pages
     past the filtration length."""
-    field = fc.field
+    zero = fc.field.zero()
     degrees = fc.degrees
     pmax = fc.plevels
-    zcache = {}
+    weights = fc.weights
+    # gap[k][i]: weight gap of the pair holding basis vector i of C^k,
+    # None while unpaired; rep[k][i]: its representative cocycle
+    gap = {k: [None] * fc.dims[k] for k in degrees}
+    rep = {k: [{i: fc.field.one()} for i in range(fc.dims[k])]
+           for k in degrees}
+    pair_ranks = defaultdict(lambda: defaultdict(int))
+    for k in degrees:
+        if k not in fc.d:
+            continue
+        pivot_col, R, V = _reduce(fc.d[k], weights[k], weights.get(k + 1, []))
+        for j in range(fc.dims[k]):
+            if gap[k][j] is None:    # not already the pivot of d_{k-1}
+                rep[k][j] = V[j]
+        for i, j in pivot_col.items():
+            p = weights[k][j]
+            g = weights[k + 1][i] - p
+            gap[k][j] = gap[k + 1][i] = g
+            rep[k + 1][i] = R[j]
+            pair_ranks[g][(p, k - p)] += 1
 
-    def Z(r, p, q):
+    # basis vectors of degree p + q and weight p, per spot (p, q)
+    members = defaultdict(list)
+    for k in degrees:
+        for i, w in enumerate(weights[k]):
+            members[(w, k - w)].append(i)
+
+    def survivors(r, p, q):
         k = p + q
-        if k not in fc.dims:
-            return Subspace.zero(field, 0)
-        key = (r, p, q)
-        if key in zcache:
-            return zcache[key]
-        base = fc.F(p, k)
-        if r >= 1 and k in fc.d:
-            pre = fc.F(p + r, k + 1).preimage_under(fc.d[k])
-            base = base.intersect(pre)
-        zcache[key] = base
-        return base
-
-    bcache = {}
-
-    def boundary(r, p, q):
-        key = (r, p, q)
-        if key in bcache:
-            return bcache[key]
-        a = Z(r - 1, p + 1, q - 1)
-        k = p + q
-        src = Z(r - 1, p - r + 1, q + r - 2)
-        if (k - 1) in fc.d and src.dim:
-            b = src.image_under(fc.d[k - 1])
-            a = a.sum_(b)
-        bcache[key] = a
-        return a
+        return [i for i in members.get((p, q), ())
+                if gap[k][i] is None or gap[k][i] >= r]
 
     spots = [(p, k - p) for p in range(pmax + 1) for k in degrees
              if k - p >= -pmax]
@@ -172,37 +239,21 @@ def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
         table = {}
         reps = {}
         for p, q in spots:
-            z = Z(r, p, q)
-            d_sub = boundary(r, p, q)
-            denom = d_sub.intersect(z) if not (d_sub <= z) else d_sub
-            table[(p, q)] = z.dim - denom.dim
-            if r <= keep_bases_up_to and table[(p, q)]:
-                reps[(p, q)] = denom.extend_basis_within(z)
-        ranks = {}
-        total_rank = 0
-        for p, q in spots:
-            k = p + q
-            if k not in fc.d:
-                continue
-            z = Z(r, p, q)
-            if not z.dim:
-                continue
-            img = z.image_under(fc.d[k])
-            tgt = boundary(r, p + r, q - r + 1)
-            rk = tgt.sum_(img).dim - tgt.dim
-            if rk:
-                ranks[(p, q)] = rk
-                total_rank += rk
+            alive = survivors(r, p, q)
+            table[(p, q)] = len(alive)
+            if r <= keep_bases_up_to and alive:
+                n = fc.dims[p + q]
+                reps[(p, q)] = [tuple(rep[p + q][i].get(t, zero)
+                                      for t in range(n)) for i in alive]
+        ranks = dict(pair_ranks.get(r, {}))
         page_list.append(table)
         rank_list.append(ranks)
         if r <= keep_bases_up_to:
             bases[r] = reps
-        consecutive_zero = consecutive_zero + 1 if total_rank == 0 else 0
+        consecutive_zero = 0 if ranks else consecutive_zero + 1
         if r > pmax and consecutive_zero >= 2:
             break
         r += 1
-        if r > pmax + 2 * len(degrees) + 4:
-            raise StructureError("spectral sequence failed to stabilise")
 
     e_inf = page_list[-1]
     totals = fc.total_cohomology()
@@ -224,8 +275,8 @@ def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
 
 def bigraded_filtered_complex(J: AlmostComplexStructure) -> FilteredComplex:
     """Total complexified invariant complex with the holomorphic-degree
-    (column) filtration F^p = spans of monomials with at least p
-    unbarred letters."""
+    (column) filtration: a monomial's weight is its number of unbarred
+    letters."""
     if not is_integrable(J):
         w = nijenhuis_witness(J)
         raise StructureError(
@@ -233,23 +284,11 @@ def bigraded_filtered_complex(J: AlmostComplexStructure) -> FilteredComplex:
             f"pair {w[0]}", witness=w)
     big = _Bigraded(J)
     m = big.m
-    field = big.field
     dims = {k: len(big.full_bases[k]) for k in range(2 * m + 1)}
     d = {k: big.full_d[k] for k in range(2 * m)}
-    filtration = {}
-    zero, one = field.zero(), field.one()
-    for k in range(2 * m + 1):
-        monos = big.full_bases[k]
-        chain = []
-        for p in range(m + 2):
-            vecs = []
-            for idx, mono in enumerate(monos):
-                if monomial_bidegree(mono, m)[0] >= p:
-                    vecs.append([one if t == idx else zero
-                                 for t in range(len(monos))])
-            chain.append(Subspace(field, len(monos), vecs))
-        filtration[k] = chain
-    return FilteredComplex(field, dims, d, filtration)
+    weights = {k: [monomial_bidegree(mono, m)[0] for mono in big.full_bases[k]]
+               for k in range(2 * m + 1)}
+    return FilteredComplex(big.field, dims, d, weights)
 
 
 def frolicher(g: LieAlgebra, J: AlmostComplexStructure) -> SpectralPages:
@@ -500,27 +539,16 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
 
     dims, d = lie_module_complex(field, ell, brackets, actions, mdim)
 
-    # annihilator filtration: level s spans monomials with at least s
-    # quotient letters
-    filtration = {}
-    zero, one = field.zero(), field.one()
-    for k in range(ell + 1):
-        basis_k = wedge_basis(ell, k)
-        chain = []
-        for s in range(n_quot + 2):
-            vecs = []
-            for idx, mono in enumerate(basis_k):
-                if sum(1 for x in mono if x >= r_sub) >= s:
-                    for v in range(mdim):
-                        vec = [zero] * dims[k]
-                        vec[idx * mdim + v] = one
-                        vecs.append(vec)
-            chain.append(Subspace(field, dims[k], vecs))
-        filtration[k] = chain
-    fc = FilteredComplex(field, dims, d, filtration)
+    # annihilator filtration: a basis vector's weight is the number of
+    # quotient letters of its monomial
+    weights = {k: [sum(1 for x in mono if x >= r_sub)
+                   for mono in wedge_basis(ell, k) for _ in range(mdim)]
+               for k in range(ell + 1)}
+    fc = FilteredComplex(field, dims, d, weights)
     pg = pages(fc)
 
     # independent second page: H^r(quotient, H^s(sub, module))
+    zero = field.zero()
     sub_brackets = {k: v for k, v in brackets.items() if k[1] < r_sub}
     sub_dims, sub_d = lie_module_complex(field, r_sub, sub_brackets,
                                          actions[:r_sub], mdim)

@@ -56,6 +56,7 @@ from .errors import (
     PrecisionUnavailable,
     StructureError,
     UnsupportedError,
+    input_errors_as_parse_error,
 )
 from .exact.fields import (
     QQ,
@@ -951,6 +952,7 @@ def leaf_analysis(g, J, L, f: Subspace, param_spec=None,
 # period document parsing
 
 
+@input_errors_as_parse_error("generator entry")
 def _parse_entry_expr(text: str, cfield, symbols):
     """Parse a generator entry in the documented grammar."""
     pos = 0
@@ -1038,6 +1040,7 @@ def _parse_entry_expr(text: str, cfield, symbols):
     return val
 
 
+@input_errors_as_parse_error("number")
 def number_spec_from_document(doc) -> NumberSpec | None:
     kind = doc.get("type")
     if kind == "rational":

@@ -184,15 +184,69 @@ def test_catalog_user_file(capsys, tmp_path):
     assert "kt4: pass" in out
 
 
-def test_scan_bound_env_default(monkeypatch):
-    from nilcohom.cli import build_parser, default_scan_bound
+def test_scan_bound_env_default(monkeypatch, capsys, tmp_path):
+    from nilcohom.cli import default_scan_bound
+    from nilcohom.errors import ParseError
 
     monkeypatch.setenv("NILCOHOM_SCAN_BOUND", "77")
     assert default_scan_bound() == 77
-    args = build_parser().parse_args(["toroidal", "x.json"])
-    assert args.scan == 77
+    f = tmp_path / "period.json"
+    f.write_text(LEAF_DOC % '{"type": "rational", "value": "1/2"}')
+    code, out, err = run(capsys, "toroidal", str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["scan"] == 77
     monkeypatch.setenv("NILCOHOM_SCAN_BOUND", "junk")
-    assert default_scan_bound() == 1000
+    with pytest.raises(ParseError, match="NILCOHOM_SCAN_BOUND"):
+        default_scan_bound()
+
+
+@pytest.mark.parametrize("env,argv,named", [
+    (None, ["--scan", "-5"], "--scan"),
+    (None, ["--scan", "0"], "--scan"),
+    (None, ["--scan", "abc"], "--scan"),
+    ("abc", [], "NILCOHOM_SCAN_BOUND"),
+    ("-3", [], "NILCOHOM_SCAN_BOUND"),
+    ("2.5", [], "NILCOHOM_SCAN_BOUND"),
+])
+def test_bad_scan_bound_exit_2(capsys, tmp_path, monkeypatch, env, argv,
+                               named):
+    if env is None:
+        monkeypatch.delenv("NILCOHOM_SCAN_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("NILCOHOM_SCAN_BOUND", env)
+    f = tmp_path / "period.json"
+    f.write_text(LEAF_DOC % '{"type": "rational", "value": "1/2"}')
+    code, out, err = run(capsys, "toroidal", str(f), *argv)
+    assert code == 2
+    assert named in err and "positive integer" in err
+    code, out, err = run(capsys, *VERIFY_ARGS, *argv)
+    assert code == 2
+    assert named in err
+
+
+@pytest.mark.parametrize("number,entry", [
+    ('{"type": "rational", "value": "1/2"}', "1/0"),
+    ('{"type": "sqrt", "d": 4}', "a"),
+    ('{"type": "quadratic", "poly": [1, 0, -4]}', "a"),
+    ('{"type": "quadratic", "poly": [1, 0, 4]}', "a"),
+    ('{"type": "quadratic"}', "a"),
+])
+def test_toroidal_bad_numbers_exit_2(capsys, tmp_path, number, entry):
+    f = tmp_path / "period.json"
+    f.write_text(json.dumps({"dimension": 2,
+                             "numbers": {"a": json.loads(number)},
+                             "generators": [["1", "0"], ["0", "1"],
+                                            [entry, "i"]]}))
+    code, out, err = run(capsys, "toroidal", str(f))
+    assert code == 2
+    assert err.startswith("error: malformed")
+
+
+@pytest.mark.parametrize("param", ["a=sqrt:4", "a=sqrt:x", "a=1/0"])
+def test_verify_theorem_bad_param_exit_2(capsys, param):
+    code, out, err = run(capsys, *VERIFY_ARGS, "--param", param)
+    assert code == 2
+    assert err.startswith("error: malformed")
 
 
 def test_catalog_deterministic_json(capsys):

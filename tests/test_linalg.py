@@ -136,3 +136,7 @@ class TestSubspace:
         ext = s.extend_basis_within(full)
         assert len(ext) == 2
         assert Subspace(QQ, 3, list(s.basis) + ext).dim == 3
+
+
+def test_invert_empty_matrix():
+    assert invert(Matrix(QQ, [], ncols=0)) == Matrix(QQ, [], ncols=0)

@@ -1,11 +1,23 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from specseq_oracle import assert_agrees
 
-from nilcohom.cxstruct import AlmostComplexStructure, span_of_frame
+import nilcohom.specseq as specseq
+from nilcohom.cxstruct import (
+    AlmostComplexStructure,
+    hodge_table,
+    span_of_frame,
+)
 from nilcohom.errors import StructureError
-from nilcohom.exact import QQ, Matrix, Subspace
-from nilcohom.liealg import betti_numbers, parse_structure_equations
+from nilcohom.exact import QQ, Matrix, Subspace, invert
+from nilcohom.liealg import (
+    betti_numbers,
+    commutator_ideal,
+    parse_structure_equations,
+)
 from nilcohom.specseq import (
     FilteredComplex,
     bigraded_filtered_complex,
@@ -14,17 +26,15 @@ from nilcohom.specseq import (
     pages,
 )
 
+IWASAWA = "(0,0,0,0,13-24,14+23)"
+
 
 def two_term_complex(d_matrix):
     """0 -> Q^a -> Q^b -> 0 with the trivial filtration."""
     a, b = d_matrix.ncols, d_matrix.nrows
     dims = {0: a, 1: b}
     d = {0: d_matrix}
-    filtration = {
-        0: [Subspace.full(QQ, a), Subspace.zero(QQ, a)],
-        1: [Subspace.full(QQ, b), Subspace.zero(QQ, b)],
-    }
-    return FilteredComplex(QQ, dims, d, filtration)
+    return FilteredComplex(QQ, dims, d, {0: [0] * a, 1: [0] * b})
 
 
 def test_trivial_filtration_reproduces_cohomology():
@@ -37,12 +47,8 @@ def test_trivial_filtration_reproduces_cohomology():
 
 
 def test_two_step_filtration_zero_differential():
-    dims = {0: 3}
-    filtration = {0: [Subspace.full(QQ, 3),
-                      Subspace(QQ, 3, [[0, 1, 0], [0, 0, 1]]),
-                      Subspace(QQ, 3, [[0, 0, 1]]),
-                      Subspace.zero(QQ, 3)]}
-    fc = FilteredComplex(QQ, dims, {}, filtration)
+    # F^1 = span(e2, e3), F^2 = span(e3), F^3 = 0
+    fc = FilteredComplex(QQ, {0: 3}, {}, {0: [0, 1, 2]})
     pg = pages(fc)
     assert pg.page(1) == pg.e_inf
     assert {pq: v for pq, v in pg.e_inf.items() if v} == {
@@ -53,22 +59,24 @@ def test_filtration_violation_witnessed():
     d = Matrix(QQ, [[0, 1], [0, 0]])
     dims = {0: 2, 1: 2}
     # F^1 C^0 = span(e2) maps to span(e1), which is not inside F^1 C^1
-    filtration = {
-        0: [Subspace.full(QQ, 2), Subspace(QQ, 2, [[0, 1]]),
-            Subspace.zero(QQ, 2)],
-        1: [Subspace.full(QQ, 2), Subspace(QQ, 2, [[0, 1]]),
-            Subspace.zero(QQ, 2)],
-    }
+    weights = {0: [0, 1], 1: [0, 1]}
     with pytest.raises(StructureError) as exc:
-        FilteredComplex(QQ, dims, {0: d}, filtration)
+        FilteredComplex(QQ, dims, {0: d}, weights)
     assert exc.value.witness == (0, 1)
 
 
-def test_unbounded_filtration_rejected():
-    dims = {0: 1}
-    filtration = {0: [Subspace.full(QQ, 1)]}
-    with pytest.raises(StructureError):
-        FilteredComplex(QQ, dims, {}, filtration)
+def test_nonzero_d_squared_rejected():
+    d = {0: Matrix(QQ, [[1]]), 1: Matrix(QQ, [[1]])}
+    with pytest.raises(StructureError, match="d o d"):
+        FilteredComplex(QQ, {0: 1, 1: 1, 2: 1}, d,
+                        {0: [0], 1: [0], 2: [0]})
+
+
+def test_malformed_weights_rejected():
+    # wrong length, negative, non-integer, missing
+    for weights in ({0: []}, {0: [0, 0]}, {0: [-1]}, {0: [0.5]}, {}):
+        with pytest.raises(StructureError):
+            FilteredComplex(QQ, {0: 1}, {}, weights)
 
 
 def test_column_filtration_of_bigraded_complex(h7, j0, h7_hodge):
@@ -186,3 +194,108 @@ class TestHochschildSerre:
                 assert dim <= prev or prev == 0
         totals = pg.e_inf_totals()
         assert totals == {k: v for k, v in pg.total_cohomology.items() if v}
+
+
+def test_frolicher_iwasawa_nonzero_d1():
+    g = parse_structure_equations(IWASAWA)
+    J = AlmostComplexStructure.standard(g)
+    assert betti_numbers(g) == [1, 4, 8, 10, 8, 4, 1]
+    pg = frolicher(g, J)
+    hodge = hodge_table(J)
+    e1 = pg.page(1)
+    for p in range(4):
+        for q in range(4):
+            assert e1.get((p, q), 0) == hodge[p][q]
+    assert sum(pg.d_ranks[1].values()) == 6
+    assert pg.table(1) != pg.table(2)
+    assert pg.page(2) == pg.e_inf
+    assert pg.e_inf_totals() == dict(enumerate(betti_numbers(g)))
+
+
+# ---------------------------------------------------------------------------
+# the reduction against the subspace-algebra oracle (tests/specseq_oracle.py)
+
+
+@pytest.fixture
+def captured_pages(monkeypatch):
+    """Records (complex, pages) for every ``pages`` call made inside
+    ``nilcohom.specseq``."""
+    seen = []
+
+    def recording(fc, *args, **kwargs):
+        pg = pages(fc, *args, **kwargs)
+        seen.append((fc, pg))
+        return pg
+
+    monkeypatch.setattr(specseq, "pages", recording)
+    return seen
+
+
+def test_oracle_frolicher_kt(kodaira_thurston):
+    fc = bigraded_filtered_complex(
+        AlmostComplexStructure.standard(kodaira_thurston))
+    assert_agrees(pages(fc), fc)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_oracle_hochschild_serre_h7(h7, j0, p, captured_pages):
+    hochschild_serre(h7, j0, span_of_frame(j0, ["Xbar1", "Xbar3"]), p)
+    ((fc, pg),) = captured_pages
+    assert_agrees(pg, fc)
+
+
+def test_oracle_real_hochschild_serre_kt(kodaira_thurston, captured_pages):
+    kt = kodaira_thurston
+    hochschild_serre(kt, None, commutator_ideal(kt))
+    ((fc, pg),) = captured_pages
+    assert_agrees(pg, fc)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A random filtered complex over QQ: a direct sum of elementary
+    complexes c * e_j -> e_i with w(i) >= w(j), conjugated degree by
+    degree by random filtration-preserving automorphisms T_k, so d_k is
+    T_{k+1} d0_k T_k^{-1}."""
+    ndeg = draw(st.integers(1, 4))
+    dims = [draw(st.integers(0, 4)) for _ in range(ndeg)]
+    top = draw(st.integers(0, 4))
+    weights = {k: [draw(st.integers(0, top)) for _ in range(dims[k])]
+               for k in range(ndeg)}
+    used = [set() for _ in range(ndeg)]
+    d0 = {k: [[0] * dims[k] for _ in range(dims[k + 1])]
+          for k in range(ndeg - 1)}
+    for k in range(ndeg - 1):
+        for j in range(dims[k]):
+            targets = [i for i in range(dims[k + 1]) if i not in used[k + 1]
+                       and weights[k + 1][i] >= weights[k][j]]
+            if j in used[k] or not targets or not draw(st.booleans()):
+                continue
+            i = draw(st.sampled_from(targets))
+            d0[k][i][j] = draw(small_rationals.filter(bool))
+            used[k].add(j)
+            used[k + 1].add(i)
+    T = {}
+    for k in range(ndeg):
+        w = weights[k]
+        rows = [[1 if i == j else
+                 (draw(small_rationals) if w[i] >= w[j] else 0)
+                 for j in range(dims[k])] for i in range(dims[k])]
+        T[k] = Matrix(QQ, rows, ncols=dims[k])
+    try:
+        T_inv = {k: invert(t) for k, t in T.items()}
+    except ValueError:
+        assume(False)
+    d = {k: T[k + 1] * Matrix(QQ, d0[k], ncols=dims[k]) * T_inv[k]
+         for k in range(ndeg - 1)}
+    return FilteredComplex(QQ, dict(enumerate(dims)), d, weights)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(filtered_complexes())
+def test_reduction_matches_oracle_on_random_complexes(fc):
+    assert_agrees(pages(fc), fc)
