@@ -136,6 +136,7 @@ def resolve_algebra(text, catalog=None):
                      f"({', '.join(sorted(catalog))}) or a tuple")
 
 
+@input_errors_as_parse_error("complex-structure spec")
 def resolve_complex_structure(g: LieAlgebra, spec) -> AlmostComplexStructure:
     if isinstance(spec, str):
         if spec == "std":
@@ -190,6 +191,7 @@ class LatticeData:
         self.param_spec = param_spec
 
 
+@input_errors_as_parse_error("lattice document")
 def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> LatticeData:
     """Build a rational structure over the declared tower field, with
     optional parameter substitutions from the command line."""

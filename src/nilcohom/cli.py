@@ -45,6 +45,7 @@ from .errors import (
     PrecisionUnavailable,
     StructureError,
     UnsupportedError,
+    input_errors_as_parse_error,
 )
 from .exact.linalg import Subspace
 from .exact.numbers import ConvergentSeries, convergent_family
@@ -245,6 +246,7 @@ def cmd_toroidal(args) -> int:
     return EXIT_OK
 
 
+@input_errors_as_parse_error("basis index list")
 def _parse_basis_arg(text, field, n):
     vecs = []
     for tok in text.split(","):
@@ -257,6 +259,11 @@ def _parse_basis_arg(text, field, n):
         vecs.append([field.one() if j == idx - 1 else field.zero()
                      for j in range(n)])
     return Subspace(field, n, vecs)
+
+
+@input_errors_as_parse_error("--g0 frame labels")
+def _parse_frame_arg(J, text):
+    return span_of_frame(J, text.split(","))
 
 
 def cmd_verify_theorem(args) -> int:
@@ -280,7 +287,7 @@ def cmd_verify_theorem(args) -> int:
     J = resolve_complex_structure(g2, args.J)
     f = _parse_basis_arg(args.ideal, g2.field, g2.n)
     f0 = _parse_basis_arg(args.f0, g2.field, g2.n)
-    g0 = span_of_frame(J, args.g0.split(","))
+    g0 = _parse_frame_arg(J, args.g0)
     report = conjecture_status(g2, J, data.qstructure, f, f0, g0,
                                param_spec=data.param_spec,
                                scan_bound=scan)

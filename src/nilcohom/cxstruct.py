@@ -10,11 +10,20 @@ orientation; fixing it makes every basis and matrix reproducible.
 
 from __future__ import annotations
 
+import copy
 from itertools import combinations
 
 from .errors import StructureError
 from .exact.fields import complexify
-from .exact.linalg import Matrix, Subspace, invert, rank
+from .exact.linalg import (
+    Matrix,
+    Subspace,
+    invert,
+    rank,
+    rank_fraction_free,
+    sparse_columns,
+    sparse_product,
+)
 from .liealg import (
     LieAlgebra,
     commutator_ideal,
@@ -123,14 +132,6 @@ class PQSplitting:
     def m(self):
         return len(self.X)
 
-    def gen_image(self):
-        """d of the dual frame, for the exterior differential."""
-        img = [dict() for _ in range(2 * self.m)]
-        for (a, b), comps in self.gamma.items():
-            for c, v in comps.items():
-                img[c][(a, b)] = -v
-        return img
-
 
 def pq_splitting(J: AlmostComplexStructure) -> PQSplitting:
     """Frames of the +-i eigenspaces via the exact projectors
@@ -171,91 +172,98 @@ def pq_splitting(J: AlmostComplexStructure) -> PQSplitting:
     return PQSplitting(cfield, tuple(X), Xbar, T, Tinv, gamma)
 
 
-def monomial_bidegree(mono, m: int):
-    p = sum(1 for letter in mono if letter < m)
-    return p, len(mono) - p
-
-
 class BigradedComplex:
-    """One row of the bigraded complex: fixed holomorphic degree p,
-    bases of the (p, q) pieces and the matrices of the (0,1)-part of d."""
+    """The bigraded invariant complex of an integrable structure, built
+    once per J from one splitting and one integrability check.
 
-    def __init__(self, p, m, field, bases, dbar):
-        self.p = p
-        self.m = m
-        self.field = field
-        self.bases = bases      # q -> list of letter tuples
-        self.dbar = dbar        # q -> Matrix (p,q) -> (p,q+1)
+    Letters 0..m-1 are the dual (1,0) frame, m..2m-1 its conjugate.
+    ``d[k]`` is the full differential on the sorted k-monomials
+    ``bases[k]``, and ``weights[k][i]`` the holomorphic degree (number
+    of unbarred letters) of monomial i.  delbar at (p, q) is the block
+    of d_{p+q} that keeps the weight p.
 
-    def dimension(self, q):
-        return len(self.bases.get(q, []))
-
-    def cohomology(self):
-        out = []
-        prev_rank = 0
-        for q in range(self.m + 1):
-            d_q = self.dbar[q]
-            rank_q = rank(d_q)
-            out.append(self.dimension(q) - rank_q - prev_rank)
-            prev_rank = rank_q
-        return out
-
-
-class _Bigraded:
-    """Internal: the whole bigraded complex of an integrable structure."""
+    ``row(p)`` selects one holomorphic degree: the copy it returns has
+    ``dbar[q]``, the matrix (p, q) -> (p, q+1), ``dimension(q)`` and
+    ``cohomology()``.
+    """
 
     def __init__(self, J: AlmostComplexStructure):
+        if not is_integrable(J):
+            w = nijenhuis_witness(J)
+            raise StructureError(
+                "d does not split as del + delbar: Nijenhuis tensor is "
+                f"nonzero on basis pair {w[0]}", witness=w)
         split = pq_splitting(J)
-        m = split.m
-        field = split.field
-        gen_image = split.gen_image()
-        self.split = split
+        m, field = split.m, split.field
+        gen_image = LieAlgebra(field, 2 * m, split.gamma,
+                               validate=False).dual_generator_image()
         self.m = m
         self.field = field
-        self.bases = {}
-        index = {}
-        for k in range(2 * m + 1):
-            for mono in wedge_basis(2 * m, k):
-                pq = monomial_bidegree(mono, m)
-                self.bases.setdefault(pq, []).append(mono)
-        for pq, monos in self.bases.items():
-            for pos, mono in enumerate(monos):
-                index[mono] = (pq, pos)
-        self.index = index
-        self.full_d = {k: exterior_differential(field, 2 * m, gen_image, k)
-                       for k in range(2 * m + 1)}
-        self.full_bases = {k: wedge_basis(2 * m, k)
-                           for k in range(2 * m + 2)}
+        self.d = {k: exterior_differential(field, 2 * m, gen_image, k)
+                  for k in range(2 * m + 1)}
+        self.bases = {k: wedge_basis(2 * m, k) for k in range(2 * m + 1)}
+        self.weights = {k: [sum(1 for x in mono if x < m) for mono in basis]
+                        for k, basis in self.bases.items()}
+        # (p, q) -> positions of its monomials in the degree-(p+q) basis
+        self.slots = {}
+        for k, ws in self.weights.items():
+            for i, w in enumerate(ws):
+                self.slots.setdefault((w, k - w), []).append(i)
+        self._check_splitting()
+        self.p = None
+        self.dbar = None
 
-    def basis(self, p, q):
-        return self.bases.get((p, q), [])
+    def _check_splitting(self):
+        """d has components of bidegree (1, 0) and (0, 1) only, and
+        delbar^2 = 0, checked once on sparse columns."""
+        dbar = {}
+        for k, mat in self.d.items():
+            src, tgt = self.weights[k], self.weights.get(k + 1, [])
+            cols = sparse_columns(mat)
+            if any(tgt[i] - src[j] not in (0, 1)
+                   for j, col in enumerate(cols) for i in col):
+                raise StructureError(
+                    "d does not split as del + delbar (structure is not "
+                    "integrable)")
+            dbar[k] = [{i: x for i, x in col.items() if tgt[i] == src[j]}
+                       for j, col in enumerate(cols)]
+        for k in range(2 * self.m):
+            if any(sparse_product(dbar[k + 1], dbar[k])):
+                raise StructureError("delbar^2 is nonzero; internal error")
 
-    def dbar_matrix(self, p, q):
-        """The (p, q+1) component of d restricted to the (p, q) basis;
-        raises when d has components outside bidegrees (p+1, q) and
-        (p, q+1)."""
-        src = self.basis(p, q)
-        tgt = self.basis(p, q + 1)
-        k = p + q
-        zero = self.field.zero()
-        full = self.full_d[k]
-        full_src = self.full_bases[k]
-        full_tgt = self.full_bases[k + 1]
-        rows = [[zero] * len(src) for _ in range(len(tgt))]
-        tgt_pos = {mono: i for i, mono in enumerate(tgt)}
-        for cj, mono in enumerate(src):
-            col = full.column(full_src.index(mono))
-            for ri, val in enumerate(col):
-                if not val:
-                    continue
-                out_pq = monomial_bidegree(full_tgt[ri], self.m)
-                if out_pq == (p, q + 1):
-                    rows[tgt_pos[full_tgt[ri]]][cj] = val
-                elif out_pq != (p + 1, q):
-                    raise StructureError(
-                        "d does not split as del + delbar (structure is "
-                        "not integrable)")
-        return Matrix(self.field, rows, ncols=len(src))
+    def dbar_block(self, p, q) -> Matrix:
+        """delbar from (p, q) to (p, q+1)."""
+        rows = self.d[p + q].rows
+        src = self.slots.get((p, q), ())
+        tgt = self.slots.get((p, q + 1), ())
+        return Matrix(self.field, [[rows[i][j] for j in src] for i in tgt],
+                      ncols=len(src))
+
+    def row(self, p) -> "BigradedComplex":
+        if not 0 <= p <= self.m:
+            raise ValueError(f"holomorphic degree {p} out of range "
+                             f"0..{self.m}")
+        view = copy.copy(self)
+        view.p = p
+        view.dbar = {q: self.dbar_block(p, q) for q in range(self.m + 1)}
+        return view
+
+    def dimension(self, q):
+        return len(self.slots.get((self.p, q), ()))
+
+    def cohomology(self):
+        """h^{p, q} for q = 0..m of the selected row."""
+        return _row_cohomology(self, rank)
+
+
+def _row_cohomology(row, rank):
+    out = []
+    prev_rank = 0
+    for q in range(row.m + 1):
+        rank_q = rank(row.dbar[q])
+        out.append(row.dimension(q) - rank_q - prev_rank)
+        prev_rank = rank_q
+    return out
 
 
 def dolbeault_complex(J: AlmostComplexStructure, p: int) -> BigradedComplex:
@@ -264,48 +272,21 @@ def dolbeault_complex(J: AlmostComplexStructure, p: int) -> BigradedComplex:
     Raises for non-integrable J: d only splits into bidegrees
     (p+1, q) + (p, q+1) when the structure is integrable.
     """
-    if not is_integrable(J):
-        w = nijenhuis_witness(J)
-        raise StructureError(
-            "d does not split as del + delbar: Nijenhuis tensor is nonzero "
-            f"on basis pair {w[0]}", witness=w)
-    big = _Bigraded(J)
-    m = big.m
-    if not 0 <= p <= m:
-        raise ValueError(f"holomorphic degree {p} out of range 0..{m}")
-    bases = {q: big.basis(p, q) for q in range(m + 1)}
-    dbar = {q: big.dbar_matrix(p, q) for q in range(m + 1)}
-    for q in range(m):
-        if not (dbar[q + 1] * dbar[q]).is_zero():
-            raise StructureError("delbar^2 is nonzero; internal error")
-    return BigradedComplex(p, m, big.field, bases, dbar)
+    return BigradedComplex(J).row(p)
 
 
 def hodge_table(J: AlmostComplexStructure):
     """The full table h^{p,q} as a tuple of rows indexed by p."""
-    m = J.ambient.n // 2
-    return tuple(tuple(dolbeault_complex(J, p).cohomology())
-                 for p in range(m + 1))
+    big = BigradedComplex(J)
+    return tuple(tuple(big.row(p).cohomology()) for p in range(big.m + 1))
 
 
 def hodge_table_ranks_oracle(J: AlmostComplexStructure):
     """Same table computed from the independent fraction-free
     elimination routine."""
-    from .exact.linalg import rank_fraction_free
-
-    big = _Bigraded(J)
-    m = big.m
-    table = []
-    for p in range(m + 1):
-        row = []
-        prev_rank = 0
-        for q in range(m + 1):
-            d_q = big.dbar_matrix(p, q)
-            r = rank_fraction_free(d_q)
-            row.append(len(big.basis(p, q)) - r - prev_rank)
-            prev_rank = r
-        table.append(tuple(row))
-    return tuple(table)
+    big = BigradedComplex(J)
+    return tuple(tuple(_row_cohomology(big.row(p), rank_fraction_free))
+                 for p in range(big.m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +335,14 @@ def span_of_frame(J: AlmostComplexStructure, labels) -> Subspace:
     for lab in labels:
         lab = lab.strip()
         if lab.startswith("Xbar"):
-            vecs.append(list(split.Xbar[int(lab[4:]) - 1]))
+            frame, idx = split.Xbar, int(lab[4:])
         elif lab.startswith("X"):
-            vecs.append(list(split.X[int(lab[1:]) - 1]))
+            frame, idx = split.X, int(lab[1:])
         else:
             raise ValueError(f"unknown frame label {lab!r}")
+        if not 1 <= idx <= split.m:
+            raise ValueError(f"frame label {lab!r} out of range 1..{split.m}")
+        vecs.append(list(frame[idx - 1]))
     return Subspace(split.field, J.ambient.n, vecs)
 
 

@@ -37,14 +37,16 @@ class PrecisionUnavailable(NilcohomError):
 def input_errors_as_parse_error(what):
     """Decorator for functions that turn user documents into values:
     the arithmetic and lookup errors a malformed document raises
-    (division by zero, bad literals, missing keys, wrong types) become
-    a ParseError naming ``what``."""
+    (division by zero, bad literals, missing keys or indices, wrong types,
+    such as a list where an object belongs) become a ParseError naming
+    ``what``."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
-            except (ZeroDivisionError, ValueError, KeyError, TypeError) as exc:
+            except (ZeroDivisionError, ValueError, LookupError, TypeError,
+                    AttributeError) as exc:
                 if isinstance(exc, KeyError):
                     detail = f"missing key {exc}"
                 elif isinstance(exc, ZeroDivisionError):

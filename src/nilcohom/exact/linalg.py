@@ -1,7 +1,9 @@
 """Exact dense linear algebra over any of the scalar fields.
 
-Matrices act on column vectors.  Two independent elimination routines
-are provided: ``rref`` (Gauss-Jordan with exact division) drives all
+Matrices act on column vectors.  Monomial-sparse differentials are
+also handled as sparse columns (dicts row -> nonzero entry), with one
+sparse product.  Two independent elimination routines are provided:
+``rref`` (Gauss-Jordan with exact division) drives all
 rank/kernel computations, and ``rank_fraction_free`` is a Bareiss-style
 one-step fraction-free elimination with largest-numerator pivoting,
 kept as a cross-checking oracle.
@@ -131,6 +133,38 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
+
+
+def sparse_columns(mat: Matrix):
+    """Columns of ``mat`` as dicts row -> nonzero entry."""
+    cols = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def add_multiple(target, f, src):
+    """target += f * src for sparse vectors (dicts index -> scalar)."""
+    for i, x in src.items():
+        y = target.get(i)
+        y = f * x if y is None else y + f * x
+        if y:
+            target[i] = y
+        else:
+            target.pop(i, None)
+
+
+def sparse_product(a_cols, b_cols):
+    """Sparse columns of A B, from the sparse columns of A and of B."""
+    out = []
+    for col in b_cols:
+        image = {}
+        for i, x in col.items():
+            add_multiple(image, x, a_cols[i])
+        out.append(image)
+    return out
 
 
 def rref(m: Matrix):
@@ -348,14 +382,6 @@ class Subspace:
 
     def image_under(self, m: Matrix):
         return Subspace(m.field, m.nrows, [m.apply(v) for v in self.basis])
-
-    def preimage_under(self, m: Matrix):
-        """{x : m x in self} as a subspace of the domain."""
-        ann = self.annihilator()
-        if not ann.basis:
-            return Subspace.full(m.field, m.ncols)
-        proj = ann.matrix() * m
-        return Subspace(m.field, m.ncols, kernel_basis(proj))
 
     def extend_basis_within(self, other):
         """Vectors of ``other`` extending this subspace's basis to a

@@ -22,14 +22,21 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ParseError, StructureError
+from .errors import ParseError, StructureError, UnsupportedError
 from .exact.fields import QQ, embed
 from .exact.intlattice import (
     hermite_row,
     integer_kernel,
     rational_rows_to_integer,
 )
-from .exact.linalg import Matrix, Subspace, invert, kernel_basis, rank
+from .exact.linalg import (
+    Matrix,
+    Subspace,
+    add_multiple,
+    invert,
+    kernel_basis,
+    rank,
+)
 
 
 def wedge_merge(u, v):
@@ -58,6 +65,47 @@ def wedge_basis(n: int, k: int):
     return list(combinations(range(n), k))
 
 
+# Exterior algebras on more letters are refused before anything is
+# allocated: 2^12 = 4096 monomials in all degrees together.
+MAX_LETTERS = 12
+
+
+def _leibniz_matrix(field, n: int, images, k: int, k_out: int) -> Matrix:
+    """Matrix of the derivation of the exterior algebra on n letters
+    from degree k to degree k_out, determined by its values on letters.
+
+    ``images[t]`` is a dict mapping sorted letter tuples of length
+    k_out - k + 1 to coefficients: the image of letter t.  The
+    derivation extends by the graded Leibniz rule, so letter t in slot
+    pos of a monomial contributes (-1)^pos times its image wedged in
+    front of the remaining letters, whatever the degree s = k_out - k:
+    the Leibniz sign (-1)^(pos s) times the sign (-1)^(pos (s+1)) of
+    moving the (s+1)-letter image to the front.  The returned matrix
+    maps coordinates on the sorted k-monomials to coordinates on the
+    sorted k_out-monomials.
+    """
+    if n > MAX_LETTERS:
+        raise UnsupportedError(
+            f"{n} letters exceed the limit of {MAX_LETTERS} (at most "
+            f"{2 ** MAX_LETTERS} exterior monomials)")
+    basis_out = wedge_basis(n, k_out)
+    index = {mono: i for i, mono in enumerate(basis_out)}
+    zero = field.zero()
+    cols = []
+    for mono in wedge_basis(n, k):
+        col = [zero] * len(basis_out)
+        for pos, letter in enumerate(mono):
+            rest = mono[:pos] + mono[pos + 1:]
+            for word, coeff in images[letter].items():
+                merged, sgn = wedge_merge(word, rest)
+                if merged is None:
+                    continue
+                i = index[merged]
+                col[i] = col[i] + (coeff if sgn == (-1) ** pos else -coeff)
+        cols.append(col)
+    return Matrix.from_columns(field, cols, nrows=len(basis_out))
+
+
 def exterior_differential(field, n: int, gen_image, k: int) -> Matrix:
     """Matrix of the degree-k exterior differential determined by its
     values on dual generators.
@@ -67,27 +115,7 @@ def exterior_differential(field, n: int, gen_image, k: int) -> Matrix:
     the returned matrix maps coordinates on the sorted k-monomials to
     coordinates on the sorted (k+1)-monomials.
     """
-    basis_k = wedge_basis(n, k)
-    basis_k1 = wedge_basis(n, k + 1)
-    index = {mono: i for i, mono in enumerate(basis_k1)}
-    zero = field.zero()
-    cols = []
-    for mono in basis_k:
-        col = [zero] * len(basis_k1)
-        for pos in range(len(mono)):
-            letter = mono[pos]
-            rest = mono[:pos] + mono[pos + 1:]
-            outer_sign = 1 if pos % 2 == 0 else -1
-            for (a, b), coeff in gen_image[letter].items():
-                merged, sgn = wedge_merge((a, b), rest)
-                if merged is None:
-                    continue
-                c = coeff if outer_sign > 0 else -coeff
-                if sgn < 0:
-                    c = -c
-                col[index[merged]] = col[index[merged]] + c
-        cols.append(col)
-    return Matrix.from_columns(field, cols, nrows=len(basis_k1))
+    return _leibniz_matrix(field, n, gen_image, k, k + 1)
 
 
 class LieAlgebra:
@@ -203,7 +231,8 @@ class _Scanner:
     def read_digits(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while (self.pos < len(self.text)
+               and "0" <= self.text[self.pos] <= "9"):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
@@ -377,12 +406,18 @@ def pretty_structure_equations(g: LieAlgebra) -> str:
 def check_jacobi(g: LieAlgebra):
     """None when the Jacobi identity holds; otherwise the first failing
     basis triple, 1-based."""
+    def bracket(a, b):
+        """[e_a, e_b] as a dict index -> nonzero coefficient."""
+        if a < b:
+            return g.c.get((a, b), {})
+        return {t: -v for t, v in g.c.get((b, a), {}).items()}
+
     for i, j, k in combinations(range(g.n), 3):
-        s = [a + b + c for a, b, c in zip(
-            g.bracket(g.bracket_basis(i, j), g.basis_vector(k)),
-            g.bracket(g.bracket_basis(j, k), g.basis_vector(i)),
-            g.bracket(g.bracket_basis(k, i), g.basis_vector(j)))]
-        if any(s):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, v in bracket(a, b).items():
+                add_multiple(total, v, bracket(t, c))
+        if total:
             return (i + 1, j + 1, k + 1)
     return None
 
@@ -443,10 +478,6 @@ def lower_central_series(g: LieAlgebra):
         current = nxt
         if current.dim == 0:
             return chain, len(chain) - 1
-
-
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g)[1] is not math.inf
 
 
 def is_ideal(g: LieAlgebra, W: Subspace) -> bool:

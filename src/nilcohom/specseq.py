@@ -23,21 +23,30 @@ as cohomology-of-cohomology and compared.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import combinations
 
 from .errors import StructureError, UnsupportedError
 from .exact.fields import _inv
-from .exact.linalg import Matrix, Subspace, kernel_basis, rank, solve
-from .cxstruct import (
-    AlmostComplexStructure,
-    _Bigraded,
-    is_integrable,
-    monomial_bidegree,
-    nijenhuis_witness,
-    pq_splitting,
+from .exact.linalg import (
+    Matrix,
+    Subspace,
+    add_multiple,
+    kernel_basis,
+    rank,
+    solve,
+    sparse_columns,
+    sparse_product,
 )
-from .liealg import LieAlgebra, exterior_differential, wedge_basis, wedge_merge
+from .cxstruct import AlmostComplexStructure, BigradedComplex, pq_splitting
+from .liealg import (
+    LieAlgebra,
+    _leibniz_matrix,
+    exterior_differential,
+    wedge_basis,
+    wedge_merge,
+)
 
 
 class FilteredComplex:
@@ -65,14 +74,9 @@ class FilteredComplex:
             if mat.ncols != self.dims[k] or mat.nrows != self.dims.get(k + 1, 0):
                 raise StructureError(f"differential shape mismatch at {k}")
         for k in self.degrees:
-            if k in self.d and (k + 1) in self.d:
-                after = _sparse_columns(self.d[k + 1])
-                for col in _sparse_columns(self.d[k]):
-                    image = {}
-                    for i, x in col.items():
-                        _add_multiple(image, x, after[i])
-                    if image:
-                        raise StructureError(f"d o d nonzero at degree {k}")
+            if k in self.d and (k + 1) in self.d and any(sparse_product(
+                    sparse_columns(self.d[k + 1]), sparse_columns(self.d[k]))):
+                raise StructureError(f"d o d nonzero at degree {k}")
         for k in self.degrees:
             ws = self.weights.get(k)
             if ws is None:
@@ -136,27 +140,6 @@ class SpectralPages:
                 f"E_inf={self.table(len(self.pages) - 1)})")
 
 
-def _sparse_columns(mat: Matrix):
-    """Columns of ``mat`` as dicts row -> nonzero entry."""
-    cols = [{} for _ in range(mat.ncols)]
-    for i, row in enumerate(mat.rows):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
-
-def _add_multiple(target, f, src):
-    """target += f * src for sparse vectors (dicts index -> scalar)."""
-    for i, x in src.items():
-        y = target.get(i)
-        y = f * x if y is None else y + f * x
-        if y:
-            target[i] = y
-        else:
-            target.pop(i, None)
-
-
 def _reduce(mat: Matrix, wsrc, wtgt):
     """Persistence reduction R = mat V of one differential.
 
@@ -170,7 +153,7 @@ def _reduce(mat: Matrix, wsrc, wtgt):
     one = mat.field.one()
     row_pos = {i: pos for pos, i in enumerate(
         sorted(range(mat.nrows), key=lambda i: (-wtgt[i], i)))}
-    cols = _sparse_columns(mat)
+    cols = sparse_columns(mat)
     pivot_col, R, V = {}, {}, {}
     for j in sorted(range(mat.ncols), key=lambda j: (-wsrc[j], j)):
         col = cols[j]
@@ -185,8 +168,8 @@ def _reduce(mat: Matrix, wsrc, wtgt):
                 pivot_col[low] = j
                 break
             f = -col[low]
-            _add_multiple(col, f, R[other])
-            _add_multiple(vec, f, V[other])
+            add_multiple(col, f, R[other])
+            add_multiple(vec, f, V[other])
         R[j], V[j] = col, vec
     return pivot_col, R, V
 
@@ -277,18 +260,9 @@ def bigraded_filtered_complex(J: AlmostComplexStructure) -> FilteredComplex:
     """Total complexified invariant complex with the holomorphic-degree
     (column) filtration: a monomial's weight is its number of unbarred
     letters."""
-    if not is_integrable(J):
-        w = nijenhuis_witness(J)
-        raise StructureError(
-            "structure not integrable: Nijenhuis tensor nonzero on basis "
-            f"pair {w[0]}", witness=w)
-    big = _Bigraded(J)
-    m = big.m
-    dims = {k: len(big.full_bases[k]) for k in range(2 * m + 1)}
-    d = {k: big.full_d[k] for k in range(2 * m)}
-    weights = {k: [monomial_bidegree(mono, m)[0] for mono in big.full_bases[k]]
-               for k in range(2 * m + 1)}
-    return FilteredComplex(big.field, dims, d, weights)
+    big = BigradedComplex(J)
+    dims = {k: len(basis) for k, basis in big.bases.items()}
+    return FilteredComplex(big.field, dims, big.d, big.weights)
 
 
 def frolicher(g: LieAlgebra, J: AlmostComplexStructure) -> SpectralPages:
@@ -302,38 +276,6 @@ def frolicher(g: LieAlgebra, J: AlmostComplexStructure) -> SpectralPages:
 # Lie algebra complexes with module coefficients
 
 
-def derivation_power(field, B: Matrix, p: int) -> Matrix:
-    """Extend an operator on dual generators (omega_t -> sum_s B[s][t]
-    omega_s) to degree-p monomials as a derivation."""
-    m = B.ncols
-    basis = wedge_basis(m, p)
-    index = {mono: i for i, mono in enumerate(basis)}
-    zero = field.zero()
-    cols = []
-    for mono in basis:
-        col = [zero] * len(basis)
-        for t in mono:
-            rest = tuple(x for x in mono if x != t)
-            for s in range(m):
-                c = B.rows[s][t]
-                if not c:
-                    continue
-                if s == t:
-                    col[index[mono]] = col[index[mono]] + c
-                    continue
-                if s in rest:
-                    continue
-                merged, sgn = wedge_merge((s,), rest)
-                # sign of moving omega_s from t's slot into sorted order
-                pos_t = mono.index(t)
-                base_sign = -1 if pos_t % 2 else 1
-                total = c if sgn > 0 else -c
-                total = total if base_sign > 0 else -total
-                col[index[merged]] = col[index[merged]] + total
-        cols.append(col)
-    return Matrix.from_columns(field, cols, nrows=len(basis))
-
-
 def lie_module_complex(field, ell: int, brackets, actions, mdim: int):
     """Chevalley-Eilenberg complex of an ell-dimensional algebra with a
     module of dimension mdim.
@@ -343,23 +285,16 @@ def lie_module_complex(field, ell: int, brackets, actions, mdim: int):
     Returns (dims, d) with basis (monomial, module-vector), monomial
     major.
     """
-    gen_image = [dict() for _ in range(ell)]
-    for (a, b), comps in brackets.items():
-        for c, v in comps.items():
-            gen_image[c][(a, b)] = -v
+    gen_image = LieAlgebra(field, ell, brackets,
+                           validate=False).dual_generator_image()
     zero = field.zero()
-    dims = {}
+    dims = {k: math.comb(ell, k) * mdim for k in range(ell + 1)}
     d = {}
-    for k in range(ell + 1):
-        basis_k = wedge_basis(ell, k)
-        dims[k] = len(basis_k) * mdim
     for k in range(ell):
-        basis_k = wedge_basis(ell, k)
-        basis_k1 = wedge_basis(ell, k + 1)
-        index1 = {mono: i for i, mono in enumerate(basis_k1)}
         dce = exterior_differential(field, ell, gen_image, k)
+        index1 = {mono: i for i, mono in enumerate(wedge_basis(ell, k + 1))}
         rows = [[zero] * dims[k] for _ in range(dims[k + 1])]
-        for cj, mono in enumerate(basis_k):
+        for cj, mono in enumerate(wedge_basis(ell, k)):
             # Chevalley-Eilenberg part, tensored with the identity on M
             col = dce.column(cj)
             for ri, val in enumerate(col):
@@ -436,24 +371,24 @@ class HochschildSerre:
                 f"E2={self.e2_direct})")
 
 
-def _adapted_frame(field, n, sub: Subspace, ambient: Subspace):
+def _frame_brackets(alg: LieAlgebra, sub: Subspace, ambient: Subspace):
+    """A basis of ``ambient`` that starts with a basis of ``sub``, and
+    the structure constants in it: dict (a, b) -> dict c -> coefficient
+    (a < b)."""
     if not (sub <= ambient):
         raise StructureError("sub is not contained in the ambient algebra")
     frame = [list(v) for v in sub.basis]
     frame += [list(v) for v in sub.extend_basis_within(ambient)]
-    return frame
-
-
-def _frame_coords(field, frame, n):
-    mat = Matrix.from_columns(field, frame, nrows=n)
-
-    def coords(vec):
-        x = solve(mat, vec)
-        if x is None:
+    mat = Matrix.from_columns(alg.field, frame, nrows=alg.n)
+    brackets = {}
+    for a, b in combinations(range(len(frame)), 2):
+        w = solve(mat, alg.bracket(frame[a], frame[b]))
+        if w is None:
             raise StructureError("bracket leaves the chosen subalgebra")
-        return x
-
-    return coords
+        comps = {c: v for c, v in enumerate(w) if v}
+        if comps:
+            brackets[(a, b)] = comps
+    return frame, brackets
 
 
 def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
@@ -471,55 +406,37 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     """
     if J is not None:
         split = pq_splitting(J)
-        field = split.field
-        n = g.n
-        m = split.m
-        gc = g.extend_field(field)
+        alg = g.extend_field(split.field)
         if ambient_space is None:
-            ambient_space = Subspace(field, n, [list(v) for v in split.Xbar])
-        sub = sub_labels_or_space
-        frame = _adapted_frame(field, n, sub, ambient_space)
-        ell = len(frame)
-        coords = _frame_coords(field, frame, n)
-        brackets = {}
-        for a, b in combinations(range(ell), 2):
-            w = coords(gc.bracket(frame[a], frame[b]))
-            comps = {c: v for c, v in enumerate(w) if v}
-            if comps:
-                brackets[(a, b)] = comps
-        # module: Lambda^p of the dual (1,0) space
-        mdim_vec = m
-        actions = []
-        for a in range(ell):
-            cols = []
-            for v in range(mdim_vec):
-                w = split.Tinv.apply(gc.bracket(frame[a], split.X[v]))
-                cols.append(list(w[:mdim_vec]))
-            A = Matrix.from_columns(field, cols, nrows=mdim_vec)
-            Bdual = Matrix(field, [[-A.rows[t][s] for t in range(mdim_vec)]
-                                   for s in range(mdim_vec)],
-                           ncols=mdim_vec)
-            actions.append(derivation_power(field, Bdual, p))
-        mdim = len(wedge_basis(mdim_vec, p))
+            ambient_space = Subspace(split.field, g.n,
+                                     [list(v) for v in split.Xbar])
     else:
         if p != 0:
             raise UnsupportedError(
                 "real-coefficient case supports only trivial coefficients "
                 "(p = 0)")
-        field = g.field
-        n = g.n
-        sub = sub_labels_or_space
+        alg = g
         if ambient_space is None:
             ambient_space = g.full_space()
-        frame = _adapted_frame(field, n, sub, ambient_space)
-        ell = len(frame)
-        coords = _frame_coords(field, frame, n)
-        brackets = {}
-        for a, b in combinations(range(ell), 2):
-            w = coords(g.bracket(frame[a], frame[b]))
-            comps = {c: v for c, v in enumerate(w) if v}
-            if comps:
-                brackets[(a, b)] = comps
+    field = alg.field
+    sub = sub_labels_or_space
+    frame, brackets = _frame_brackets(alg, sub, ambient_space)
+    ell = len(frame)
+    if J is not None:
+        # module: Lambda^p of the dual (1,0) space; frame vector a sends
+        # omega^t to the (1,0)-part of -omega^t([frame_a, .])
+        m = split.m
+        actions = []
+        for a in range(ell):
+            images = [{} for _ in range(m)]
+            for v in range(m):
+                w = split.Tinv.apply(alg.bracket(frame[a], split.X[v]))
+                for t in range(m):
+                    if w[t]:
+                        images[t][(v,)] = -w[t]
+            actions.append(_leibniz_matrix(field, m, images, p, p))
+        mdim = math.comb(m, p)
+    else:
         mdim = 1
         actions = [Matrix.zeros(field, 1, 1) for _ in range(ell)]
 
@@ -555,24 +472,18 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     coh = cohomology_with_reps(field, sub_dims, sub_d)
 
     sub_basis_monos = {t: wedge_basis(r_sub, t) for t in range(r_sub + 1)}
+    adapted = LieAlgebra(field, ell, brackets, validate=False)
 
     def theta_matrix(letter, t):
         """Action of an ambient letter on C^t(sub, module)."""
-        # coadjoint part on the sub duals
-        ad_cols = []
+        # coadjoint part: omega^c -> -omega^c([letter, .]) on the sub duals
+        images = [{} for _ in range(r_sub)]
         for b in range(r_sub):
-            lo, hi = min(letter, b), max(letter, b)
-            comps = brackets.get((lo, hi), {})
-            sgn = 1 if letter < b else -1
-            col = [zero] * r_sub
-            for c, v in comps.items():
-                if c < r_sub:
-                    col[c] = v if sgn > 0 else -v
-            ad_cols.append(col)
-        Ad = Matrix.from_columns(field, ad_cols, nrows=r_sub)
-        Bdual = Matrix(field, [[-Ad.rows[tt][ss] for tt in range(r_sub)]
-                               for ss in range(r_sub)], ncols=r_sub)
-        Dpart = derivation_power(field, Bdual, t)
+            w = adapted.bracket_basis(letter, b)
+            for c in range(r_sub):
+                if w[c]:
+                    images[c][(b,)] = -w[c]
+        Dpart = _leibniz_matrix(field, r_sub, images, t, t)
         nmono = len(sub_basis_monos[t])
         rows = [[zero] * (nmono * mdim) for _ in range(nmono * mdim)]
         act = actions[letter]

@@ -1063,14 +1063,12 @@ def number_spec_from_document(doc) -> NumberSpec | None:
     raise ParseError(f"unknown number type {kind!r}")
 
 
+@input_errors_as_parse_error("period document")
 def period_data_from_document(doc) -> PeriodData:
     """Build period data from a parsed JSON document; see the module
     docstring for the grammar."""
-    try:
-        n = int(doc["dimension"])
-        generators = doc["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed period document: {exc}") from None
+    n = int(doc["dimension"])
+    generators = doc["generators"]
     numbers = doc.get("numbers", {})
     surd_d = None
     param_name = None

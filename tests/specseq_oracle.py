@@ -8,7 +8,15 @@ from the complex's weights.  It is slow (every (r, p, q) rebuilds its
 subspaces), so it is only run on small complexes.
 """
 
-from nilcohom.exact.linalg import Subspace
+from nilcohom.exact.linalg import Subspace, kernel_basis
+
+
+def preimage_under(target, m):
+    """{x : m x in target} as a subspace of the domain of ``m``."""
+    ann = target.annihilator()
+    if not ann.basis:
+        return Subspace.full(m.field, m.ncols)
+    return Subspace(m.field, m.ncols, kernel_basis(ann.matrix() * m))
 
 
 def weight_chain(field, weights_k, plevels):
@@ -57,7 +65,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
             return zcache[key]
         base = F(p, k)
         if r >= 1 and k in fc.d:
-            pre = F(p + r, k + 1).preimage_under(fc.d[k])
+            pre = preimage_under(F(p + r, k + 1), fc.d[k])
             base = base.intersect(pre)
         zcache[key] = base
         return base

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -255,3 +257,30 @@ def test_catalog_deterministic_json(capsys):
     code2, out2, _ = run(capsys, "catalog", "run", "--filter", "kodaira",
                          "--json")
     assert out1 == out2
+
+
+def abelian_tuple(n):
+    return "(" + ",".join(["0"] * n) + ")"
+
+
+@pytest.mark.parametrize("n,flags", [
+    (13, ["--de-rham"]), (40, ["--de-rham"]),
+    (14, ["--J", "std", "--hodge-table"]),
+])
+def test_too_many_letters_exit_4(capsys, n, flags):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", abelian_tuple(n), *flags)
+    assert code == 4
+    assert time.perf_counter() - start < 5
+    assert f"{n} letters exceed the limit of 12" in err
+
+
+def test_twelve_letters_still_computed(capsys):
+    # Heisenberg times R^9: (1 + 2t + 2t^2 + t^3)(1 + t)^9
+    code, out, err = run(capsys, "cohomology",
+                         "(0,0,0,0,0,0,0,0,0,0,0,12)", "--de-rham")
+    assert code == 0
+    h3 = [1, 2, 2, 1]
+    betti = [sum(h3[i] * math.comb(9, k - i) for i in range(4) if k >= i)
+             for k in range(13)]
+    assert f"betti: {betti}" in out

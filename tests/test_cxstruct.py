@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import nilcohom.cxstruct as cxstruct
 from nilcohom.cxstruct import (
     AlmostComplexStructure,
     check_complex_subalgebra,
@@ -158,6 +160,24 @@ class TestDolbeault:
         bc = dolbeault_complex(j0, 1)
         for q in range(4):
             assert bc.dimension(q) == math.comb(3, 1) * math.comb(3, q)
+
+    def test_hodge_table_builds_the_complex_once(self, monkeypatch, j0,
+                                                  h7_hodge):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("pq_splitting", "is_integrable"):
+            monkeypatch.setattr(cxstruct, name,
+                                counting(name, getattr(cxstruct, name)))
+        monkeypatch.setattr(Matrix, "__mul__",
+                            counting("Matrix.__mul__", Matrix.__mul__))
+        assert hodge_table(j0) == h7_hodge
+        assert calls == {"pq_splitting": 1, "is_integrable": 1}
 
     def test_non_integrable_rejected(self, kodaira_thurston):
         J = AlmostComplexStructure.from_pairs(kodaira_thurston,

@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import substituted_case
 from nilcohom.errors import ParseError, StructureError
-from nilcohom.exact import QQ, Subspace, rank
+from nilcohom.exact import QQ, Matrix, Subspace, rank
 from nilcohom.liealg import (
     LieAlgebra,
     QStructure,
+    _leibniz_matrix,
     betti_numbers,
     ce_differential,
     check_jacobi,
@@ -268,3 +271,23 @@ class TestQStructure:
                         [0, 0, 0, 0, 0, 1]]
         for v in vectors:
             assert f.contains(v)
+
+
+square_matrices = st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+    min_size=m, max_size=m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices)
+def test_degree_zero_leibniz_extension(rows):
+    # omega_t -> sum_s B[s][t] omega_s, extended as a derivation of
+    # degree 0: B itself on Lambda^1, tr B on Lambda^top, 0 on Lambda^0
+    m = len(rows)
+    B = Matrix(QQ, rows)
+    images = [{(s,): B.rows[s][t] for s in range(m) if B.rows[s][t]}
+              for t in range(m)]
+    assert _leibniz_matrix(QQ, m, images, 1, 1) == B
+    trace = sum(B.rows[i][i] for i in range(m))
+    assert _leibniz_matrix(QQ, m, images, m, m) == Matrix(QQ, [[trace]])
+    assert _leibniz_matrix(QQ, m, images, 0, 0) == Matrix(QQ, [[0]])
