@@ -114,14 +114,16 @@ def load_catalog_file(path):
 
 def validate_entry(entry: CatalogEntry):
     """Entries must pass the Jacobi check; every listed structure must
-    be integrable."""
+    be integrable.  Returns the algebra and its structures by name."""
     g = entry.algebra()
+    structures = {}
     for name, spec in entry.complex_structures.items():
         J = resolve_complex_structure(g, spec)
         if not is_integrable(J):
             raise StructureError(
                 f"catalog structure {entry.name}/{name} is not integrable")
-    return g
+        structures[name] = J
+    return g, structures
 
 
 def resolve_algebra(text, catalog=None):

@@ -51,6 +51,7 @@ from .exact.linalg import Subspace
 from .exact.numbers import ConvergentSeries, convergent_family
 from .liealg import (
     betti_numbers,
+    check_letter_count,
     commutator_ideal,
     lower_central_series,
     pretty_structure_equations,
@@ -174,6 +175,7 @@ def cmd_cohomology(args) -> int:
     if want_hodge:
         if args.J is None:
             raise ParseError("a hodge table needs --J")
+        check_letter_count(g.n)
         J = resolve_complex_structure(g, args.J)
         if not is_integrable(J):
             pair, value = nijenhuis_witness(J)
@@ -319,7 +321,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def _entry_suite(entry) -> tuple[dict, bool]:
-    g = validate_entry(entry)
+    g, structures = validate_entry(entry)
     chain, cls = lower_central_series(g)
     b = betti_numbers(g)
     checks = {}
@@ -330,8 +332,7 @@ def _entry_suite(entry) -> tuple[dict, bool]:
     checks["b1_matches_commutator"] = (
         b[1] == g.n - commutator_ideal(g).dim)
     tables = {}
-    for name in sorted(entry.complex_structures):
-        J = resolve_complex_structure(g, entry.complex_structures[name])
+    for name, J in sorted(structures.items()):
         table = hodge_table(J)
         tables[name] = [list(r) for r in table]
         m = g.n // 2

@@ -6,11 +6,17 @@ J e_{2i-1} = e_{2i} the holomorphic frame comes out as
 X_i = e_{2i-1} + i e_{2i}: the (1,0) projector is (id + iJ)/2 and the
 (0,1) projector its conjugate.  Hodge numbers are insensitive to this
 orientation; fixing it makes every basis and matrix reproducible.
+
+An ``AlmostComplexStructure`` is immutable and owns what J determines:
+its Nijenhuis witness, its splitting and its bigraded complex.  Each is
+computed on first use and kept with the object, so every check of one
+J reads the same splitting g_C = g^{1,0} + g^{0,1}.
 """
 
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from itertools import combinations
 
 from .errors import StructureError
@@ -26,6 +32,7 @@ from .exact.linalg import (
 )
 from .liealg import (
     LieAlgebra,
+    check_letter_count,
     commutator_ideal,
     exterior_differential,
     is_abelian_subspace,
@@ -35,7 +42,11 @@ from .liealg import (
 
 
 class AlmostComplexStructure:
-    """An exact matrix J on a Lie algebra with J^2 = -id."""
+    """An exact matrix J on a Lie algebra with J^2 = -id.
+
+    ``witness``, ``splitting`` and ``bigraded`` are computed at most
+    once per object, by :func:`nijenhuis`, :func:`pq_splitting` and
+    :class:`BigradedComplex`."""
 
     def __init__(self, ambient: LieAlgebra, J: Matrix):
         if ambient.n % 2:
@@ -46,8 +57,11 @@ class AlmostComplexStructure:
             J = Matrix(ambient.field, J.rows)
         if (J * J) != Matrix.identity(ambient.field, ambient.n).scale(-1):
             raise StructureError("J^2 is not -id")
-        self.ambient = ambient
-        self.J = J
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "J", J)
+
+    def __setattr__(self, *a):
+        raise AttributeError("AlmostComplexStructure is immutable")
 
     @classmethod
     def standard(cls, ambient: LieAlgebra):
@@ -77,6 +91,21 @@ class AlmostComplexStructure:
     def apply(self, vec):
         return self.J.apply(vec)
 
+    @cached_property
+    def witness(self):
+        """The first basis pair with N(e_i, e_j) != 0 and its value, or
+        None when J is integrable."""
+        return next(((pair, val) for pair, val in nijenhuis(self).items()
+                     if any(val)), None)
+
+    @cached_property
+    def splitting(self) -> "PQSplitting":
+        return pq_splitting(self)
+
+    @cached_property
+    def bigraded(self) -> "BigradedComplex":
+        return BigradedComplex(self)
+
     def __repr__(self):
         return f"AlmostComplexStructure(n={self.ambient.n})"
 
@@ -96,85 +125,74 @@ def nijenhuis(J: AlmostComplexStructure):
 
 
 def nijenhuis_witness(J: AlmostComplexStructure):
-    for pair, val in nijenhuis(J).items():
-        if any(val):
-            return pair, val
-    return None
+    return J.witness
 
 
 def is_integrable(J: AlmostComplexStructure) -> bool:
-    return nijenhuis_witness(J) is None
+    return J.witness is None
 
 
 def holomorphic_closure_test(J: AlmostComplexStructure) -> bool:
     """Equivalent integrability test: the (1,0) space is closed under
     the complexified bracket."""
-    split = pq_splitting(J)
-    gc = J.ambient.extend_field(split.field)
-    span = Subspace(split.field, J.ambient.n, [list(x) for x in split.X])
-    return all(span.contains(gc.bracket(a, b))
-               for a, b in combinations(split.X, 2))
+    split = J.splitting
+    return check_complex_subalgebra(
+        J, Subspace(split.field, J.ambient.n, split.X))
 
 
 class PQSplitting:
-    """Holomorphic frame X_1..X_m, its conjugate, and the complexified
-    structure constants in that frame."""
+    """Holomorphic frame X_1..X_m, its conjugate, the complexified
+    algebra and its structure constants in that frame."""
 
-    def __init__(self, field, X, Xbar, T, Tinv, gamma):
+    def __init__(self, field, X, Xbar, T, Tinv, gamma, algebra):
         self.field = field
         self.X = X
         self.Xbar = Xbar
         self.T = T
         self.Tinv = Tinv
         self.gamma = gamma
+        self.algebra = algebra
 
     @property
     def m(self):
         return len(self.X)
+
+    @cached_property
+    def xbar_span(self) -> Subspace:
+        """The (0,1) space g^{0,1}, spanned by Xbar_1..Xbar_m."""
+        return Subspace(self.field, self.T.nrows, self.Xbar)
 
 
 def pq_splitting(J: AlmostComplexStructure) -> PQSplitting:
     """Frames of the +-i eigenspaces via the exact projectors
     (id +- iJ)/2, leading coefficients normalised to 1."""
     g = J.ambient
-    n, m = g.n, g.n // 2
+    n = g.n
     cfield = complexify(g.field)
-    i_scalar = cfield.i()
     jc = Matrix(cfield, [[cfield.coerce(x) for x in row] for row in J.J.rows])
-    ident = Matrix.identity(cfield, n)
-    half = cfield.coerce(g.field.one()) * cfield.from_int(1)
-    proj10 = (ident + jc.scale(i_scalar))
+    cands = (Matrix.identity(cfield, n) + jc.scale(cfield.i())).columns()
     X = []
-    span = Subspace.zero(cfield, n)
-    for k in range(n):
-        cand = proj10.apply([cfield.from_int(1 if t == k else 0)
-                             for t in range(n)])
-        if span.contains(cand):
-            continue
-        lead = next(x for x in cand if x)
-        cand = tuple(x * lead.inverse() for x in cand)
-        X.append(cand)
-        span = span.sum_(Subspace(cfield, n, [list(cand)]))
-        if len(X) == m:
-            break
+    for k in Subspace.zero(cfield, n).extend_basis_within(cands):
+        lead = next(x for x in cands[k] if x)
+        X.append(tuple(x * lead.inverse() for x in cands[k]))
     Xbar = tuple(tuple(cfield.conj(x) for x in v) for v in X)
     T = Matrix.from_columns(cfield, [list(v) for v in X]
                             + [list(v) for v in Xbar], nrows=n)
     Tinv = invert(T)
     gc = g.extend_field(cfield)
-    frame = list(X) + list(Xbar)
+    frame = X + list(Xbar)
     gamma = {}
-    for a, b in combinations(range(2 * m), 2):
+    for a, b in combinations(range(len(frame)), 2):
         w = Tinv.apply(gc.bracket(frame[a], frame[b]))
         comps = {c: v for c, v in enumerate(w) if v}
         if comps:
             gamma[(a, b)] = comps
-    return PQSplitting(cfield, tuple(X), Xbar, T, Tinv, gamma)
+    return PQSplitting(cfield, tuple(X), Xbar, T, Tinv, gamma, gc)
 
 
 class BigradedComplex:
     """The bigraded invariant complex of an integrable structure, built
-    once per J from one splitting and one integrability check.
+    once per J (as ``J.bigraded``) from its splitting.
 
     Letters 0..m-1 are the dual (1,0) frame, m..2m-1 its conjugate.
     ``d[k]`` is the full differential on the sorted k-monomials
@@ -188,12 +206,13 @@ class BigradedComplex:
     """
 
     def __init__(self, J: AlmostComplexStructure):
+        check_letter_count(J.ambient.n)
         if not is_integrable(J):
             w = nijenhuis_witness(J)
             raise StructureError(
                 "d does not split as del + delbar: Nijenhuis tensor is "
                 f"nonzero on basis pair {w[0]}", witness=w)
-        split = pq_splitting(J)
+        split = J.splitting
         m, field = split.m, split.field
         gen_image = LieAlgebra(field, 2 * m, split.gamma,
                                validate=False).dual_generator_image()
@@ -272,19 +291,19 @@ def dolbeault_complex(J: AlmostComplexStructure, p: int) -> BigradedComplex:
     Raises for non-integrable J: d only splits into bidegrees
     (p+1, q) + (p, q+1) when the structure is integrable.
     """
-    return BigradedComplex(J).row(p)
+    return J.bigraded.row(p)
 
 
 def hodge_table(J: AlmostComplexStructure):
     """The full table h^{p,q} as a tuple of rows indexed by p."""
-    big = BigradedComplex(J)
+    big = J.bigraded
     return tuple(tuple(big.row(p).cohomology()) for p in range(big.m + 1))
 
 
 def hodge_table_ranks_oracle(J: AlmostComplexStructure):
     """Same table computed from the independent fraction-free
-    elimination routine."""
-    big = BigradedComplex(J)
+    elimination routine, on the same matrices."""
+    big = J.bigraded
     return tuple(tuple(_row_cohomology(big.row(p), rank_fraction_free))
                  for p in range(big.m + 1))
 
@@ -312,25 +331,18 @@ def is_j_invariant(J: AlmostComplexStructure, W: Subspace) -> bool:
 
 def antiholomorphic_part(J: AlmostComplexStructure, W: Subspace) -> Subspace:
     """W^{0,1}: the image of W under the (0,1) projector (id - iJ)/2,
-    inside the complexified coordinate space."""
-    split = pq_splitting(J)
-    cfield = split.field
-    n = J.ambient.n
-    jc = Matrix(cfield, [[cfield.coerce(x) for x in row] for row in J.J.rows])
-    proj = Matrix.identity(cfield, n) - jc.scale(cfield.i())
-    vecs = [proj.apply([cfield.coerce(x) for x in w]) for w in W.basis]
-    return Subspace(cfield, n, vecs)
-
-
-def antiholomorphic_space(J: AlmostComplexStructure) -> Subspace:
-    split = pq_splitting(J)
-    return Subspace(split.field, J.ambient.n,
-                    [list(v) for v in split.Xbar])
+    inside the complexified coordinate space.  It keeps the Xbar
+    coordinates of each vector in the frame X, Xbar."""
+    split = J.splitting
+    m, zero = split.m, split.field.zero()
+    vecs = [split.T.apply([zero] * m + list(split.Tinv.apply(w)[m:]))
+            for w in W.basis]
+    return Subspace(split.field, J.ambient.n, vecs)
 
 
 def span_of_frame(J: AlmostComplexStructure, labels) -> Subspace:
     """Complex span of frame vectors named like "X1" or "Xbar3"."""
-    split = pq_splitting(J)
+    split = J.splitting
     vecs = []
     for lab in labels:
         lab = lab.strip()
@@ -348,8 +360,7 @@ def span_of_frame(J: AlmostComplexStructure, labels) -> Subspace:
 
 def check_complex_subalgebra(J: AlmostComplexStructure, S: Subspace) -> bool:
     """True iff [S, S] stays inside S in the complexified algebra."""
-    split = pq_splitting(J)
-    gc = J.ambient.extend_field(split.field)
+    gc = J.splitting.algebra
     return all(S.contains(gc.bracket(a, b))
                for a, b in combinations(S.basis, 2))
 
@@ -386,7 +397,7 @@ def check_foliation_diagram(J: AlmostComplexStructure, f: Subspace,
         raise StructureError("f0 is not J-invariant")
     f01 = antiholomorphic_part(J, f)
     f001 = antiholomorphic_part(J, f0)
-    g01 = antiholomorphic_space(J)
+    g01 = J.splitting.xbar_span
     items = []
     inter = g0_01.intersect(f01)
     items.append(("g0^{0,1} meet f^{0,1} equals f0^{0,1}", inter == f001,

@@ -383,18 +383,27 @@ class Subspace:
     def image_under(self, m: Matrix):
         return Subspace(m.field, m.nrows, [m.apply(v) for v in self.basis])
 
-    def extend_basis_within(self, other):
-        """Vectors of ``other`` extending this subspace's basis to a
-        basis of ``other`` (self must be contained in other)."""
-        chosen = list(self.basis)
-        out = []
-        cur = self
-        for v in other.basis:
-            if not cur.contains(v):
-                chosen.append(v)
-                out.append(v)
-                cur = Subspace(self.field, self.ambient_dim, chosen)
-        return out
+    def extend_basis_within(self, candidates):
+        """Positions of the candidates that extend this subspace's basis,
+        first come first chosen: a candidate is chosen when it is not in
+        the span of this subspace and of the candidates chosen before
+        it.  Each chosen vector is reduced once into an echelon row, so
+        no span is rebuilt."""
+        field = self.field
+        rows = list(zip(self._pivots, self.basis))
+        chosen = []
+        for pos, vec in enumerate(candidates):
+            vec = [field.coerce(x) for x in vec]
+            for pc, row in rows:
+                f = vec[pc]
+                if f:
+                    vec = [a - f * b for a, b in zip(vec, row)]
+            pc = next((c for c, x in enumerate(vec) if x), None)
+            if pc is not None:
+                inv = _inv(vec[pc])
+                rows.append((pc, [x * inv for x in vec]))
+                chosen.append(pos)
+        return chosen
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"

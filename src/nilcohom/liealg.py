@@ -70,6 +70,14 @@ def wedge_basis(n: int, k: int):
 MAX_LETTERS = 12
 
 
+def check_letter_count(n: int) -> None:
+    """Refuse an exterior algebra on more than MAX_LETTERS letters."""
+    if n > MAX_LETTERS:
+        raise UnsupportedError(
+            f"{n} letters exceed the limit of {MAX_LETTERS} (at most "
+            f"{2 ** MAX_LETTERS} exterior monomials)")
+
+
 def _leibniz_matrix(field, n: int, images, k: int, k_out: int) -> Matrix:
     """Matrix of the derivation of the exterior algebra on n letters
     from degree k to degree k_out, determined by its values on letters.
@@ -84,10 +92,7 @@ def _leibniz_matrix(field, n: int, images, k: int, k_out: int) -> Matrix:
     maps coordinates on the sorted k-monomials to coordinates on the
     sorted k_out-monomials.
     """
-    if n > MAX_LETTERS:
-        raise UnsupportedError(
-            f"{n} letters exceed the limit of {MAX_LETTERS} (at most "
-            f"{2 ** MAX_LETTERS} exterior monomials)")
+    check_letter_count(n)
     basis_out = wedge_basis(n, k_out)
     index = {mono: i for i, mono in enumerate(basis_out)}
     zero = field.zero()

@@ -39,7 +39,7 @@ from .exact.linalg import (
     sparse_columns,
     sparse_product,
 )
-from .cxstruct import AlmostComplexStructure, BigradedComplex, pq_splitting
+from .cxstruct import AlmostComplexStructure
 from .liealg import (
     LieAlgebra,
     _leibniz_matrix,
@@ -260,7 +260,7 @@ def bigraded_filtered_complex(J: AlmostComplexStructure) -> FilteredComplex:
     """Total complexified invariant complex with the holomorphic-degree
     (column) filtration: a monomial's weight is its number of unbarred
     letters."""
-    big = BigradedComplex(J)
+    big = J.bigraded
     dims = {k: len(basis) for k, basis in big.bases.items()}
     return FilteredComplex(big.field, dims, big.d, big.weights)
 
@@ -336,7 +336,7 @@ def cohomology_with_reps(field, dims, d):
                            [d[k - 1].column(j) for j in range(d[k - 1].ncols)])
         else:
             img = Subspace.zero(field, dim_k)
-        reps = img.extend_basis_within(ker)
+        reps = [ker.basis[i] for i in img.extend_basis_within(ker.basis)]
         sol_matrix = Matrix.from_columns(
             field, [list(v) for v in reps] + [list(v) for v in img.basis],
             nrows=dim_k) if (reps or img.basis) else None
@@ -378,7 +378,8 @@ def _frame_brackets(alg: LieAlgebra, sub: Subspace, ambient: Subspace):
     if not (sub <= ambient):
         raise StructureError("sub is not contained in the ambient algebra")
     frame = [list(v) for v in sub.basis]
-    frame += [list(v) for v in sub.extend_basis_within(ambient)]
+    frame += [list(ambient.basis[i])
+              for i in sub.extend_basis_within(ambient.basis)]
     mat = Matrix.from_columns(alg.field, frame, nrows=alg.n)
     brackets = {}
     for a, b in combinations(range(len(frame)), 2):
@@ -405,11 +406,10 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     and ``sub`` is an ideal.
     """
     if J is not None:
-        split = pq_splitting(J)
+        split = J.splitting
         alg = g.extend_field(split.field)
         if ambient_space is None:
-            ambient_space = Subspace(split.field, g.n,
-                                     [list(v) for v in split.Xbar])
+            ambient_space = split.xbar_span
     else:
         if p != 0:
             raise UnsupportedError(

@@ -203,42 +203,21 @@ def toroidal_normalize(pd: PeriodData) -> ToroidalNormalForm:
                              "maximal complex subspace")
 
     # generators spanning a real complement of f0 inside the span
-    selected = []
-    span = f0_real
-    for j in range(m):
-        col = real.column(j)
-        if not span.contains(col):
-            selected.append(j)
-            span = span.sum_(Subspace(field, 2 * n, [list(col)]))
-        if len(selected) == k:
-            break
+    selected = f0_real.extend_basis_within(real.columns())
     if len(selected) != k:
         raise StructureError("could not select a lattice complement")
     torus_cols = [j for j in range(m) if j not in selected]
 
     # complex basis of f0
-    f0_cvecs = []
-    cspan = Subspace.zero(cfield, n)
-    for v in f0_real.basis:
-        cv = _complex_from_real(cfield, v, n)
-        if not cspan.contains(cv):
-            f0_cvecs.append(cv)
-            cspan = cspan.sum_(Subspace(cfield, n, [list(cv)]))
-        if len(f0_cvecs) == q:
-            break
+    f0_all = [_complex_from_real(cfield, v, n) for v in f0_real.basis]
+    f0_cvecs = [f0_all[i] for i in
+                Subspace.zero(cfield, n).extend_basis_within(f0_all)]
 
     u_vecs = [pd.generators[j] for j in selected]
     basis_cols = [list(v) for v in u_vecs] + [list(v) for v in f0_cvecs]
-    cur = Subspace(cfield, n, basis_cols)
-    extra = []
-    for t in range(n):
-        if cur.dim == n:
-            break
-        cand = [cfield.from_int(1 if s == t else 0) for s in range(n)]
-        if not cur.contains(cand):
-            extra.append(cand)
-            basis_cols.append(cand)
-            cur = Subspace(cfield, n, basis_cols)
+    units = Matrix.identity(cfield, n).rows
+    extra = Subspace(cfield, n, basis_cols).extend_basis_within(units)
+    basis_cols += [list(units[t]) for t in extra]
     a = len(extra)
     if k + q + a != n:
         raise StructureError("coordinate construction failed")
@@ -275,18 +254,10 @@ def toroidal_normalize(pd: PeriodData) -> ToroidalNormalForm:
         return R_rows, P_rows
 
     # order the torus columns so the first q have independent P-parts
-    order_torus = list(torus_cols)
-    psel = []
-    pspan = Subspace.zero(cfield, q)
-    rest = []
-    for j in torus_cols:
-        c = new_coords(j)
-        pv = list(c[k:k + q])
-        if len(psel) < q and not pspan.contains(pv):
-            psel.append(j)
-            pspan = pspan.sum_(Subspace(cfield, q, [pv]))
-        else:
-            rest.append(j)
+    chosen = Subspace.zero(cfield, q).extend_basis_within(
+        [new_coords(j)[k:k + q] for j in torus_cols])
+    psel = [torus_cols[i] for i in chosen]
+    rest = [j for j in torus_cols if j not in psel]
     if len(psel) != q:
         raise StructureError("could not select torus periods")
     order_torus = psel + rest
@@ -427,16 +398,9 @@ def _split_one_cstar(nf: ToroidalNormalForm, sigma):
     # invertible coordinate change on the k-block sending the first
     # coordinate to sigma . z; rows are coordinates, so this need not
     # be integral (only column operations must preserve the lattice)
-    sig = list(sigma)
-    top = [sig]
-    span = Subspace(QQ, k, [[Fraction(x) for x in sig]])
-    for t in range(k):
-        if span.dim == k:
-            break
-        cand = [1 if s == t else 0 for s in range(k)]
-        if not span.contains([Fraction(x) for x in cand]):
-            top.append(cand)
-            span = span.sum_(Subspace(QQ, k, [[Fraction(x) for x in cand]]))
+    units = [[1 if s == t else 0 for s in range(k)] for t in range(k)]
+    extra = Subspace(QQ, k, [list(sigma)]).extend_basis_within(units)
+    top = [list(sigma)] + [units[t] for t in extra]
     new_rows = []
     for trow in top:
         new_rows.append([

@@ -97,7 +97,8 @@ def oracle_pages(fc, keep_bases_up_to=2):
             assert denom <= z
             table[(p, q)] = z.dim - denom.dim
             if r <= keep_bases_up_to and table[(p, q)]:
-                reps[(p, q)] = denom.extend_basis_within(z)
+                reps[(p, q)] = [z.basis[i] for i in
+                                  denom.extend_basis_within(z.basis)]
         ranks = {}
         total_rank = 0
         for p, q in spots:

@@ -1,9 +1,11 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
+import nilcohom.cxstruct as cxstruct
 from nilcohom.cli import main
 
 LEAF_DOC = """{
@@ -266,6 +268,7 @@ def abelian_tuple(n):
 @pytest.mark.parametrize("n,flags", [
     (13, ["--de-rham"]), (40, ["--de-rham"]),
     (14, ["--J", "std", "--hodge-table"]),
+    (30, ["--J", "std", "--hodge-table"]),
 ])
 def test_too_many_letters_exit_4(capsys, n, flags):
     start = time.perf_counter()
@@ -284,3 +287,43 @@ def test_twelve_letters_still_computed(capsys):
     betti = [sum(h3[i] * math.comb(9, k - i) for i in range(4) if k >= i)
              for k in range(13)]
     assert f"betti: {betti}" in out
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named cxstruct functions and classes."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cxstruct, name,
+                            counting(name, getattr(cxstruct, name)))
+    return calls
+
+
+def test_verify_theorem_splits_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "pq_splitting")
+    code, out, err = run(capsys, *VERIFY_ARGS)
+    assert code == 0
+    assert calls == {"pq_splitting": 1}
+
+
+def test_hodge_table_runs_nijenhuis_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "nijenhuis")
+    code, out, err = run(capsys, "cohomology", "h7", "--J", "std",
+                         "--hodge-table")
+    assert code == 0
+    assert calls == {"nijenhuis": 1}
+
+
+def test_catalog_derives_each_structure_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "nijenhuis", "pq_splitting",
+                        "BigradedComplex")
+    code, out, err = run(capsys, "catalog", "run", "--filter",
+                         "kodaira-thurston")
+    assert code == 0
+    assert calls == {"nijenhuis": 1, "pq_splitting": 1, "BigradedComplex": 1}

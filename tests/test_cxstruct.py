@@ -24,12 +24,20 @@ from nilcohom.cxstruct import (
     span_of_frame,
 )
 from nilcohom.errors import StructureError
+import nilcohom.exact.linalg as linalg
 from nilcohom.exact import QQ, Matrix, Subspace, invert
 from nilcohom.liealg import (
     betti_numbers,
     commutator_ideal,
     parse_structure_equations,
 )
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestConstruction:
@@ -45,6 +53,31 @@ class TestConstruction:
     def test_pairs_must_cover(self, h7):
         with pytest.raises(StructureError):
             AlmostComplexStructure.from_pairs(h7, [(1, 2)])
+
+    def test_immutable(self, h7, kodaira_thurston):
+        J = AlmostComplexStructure.standard(h7)
+        with pytest.raises(AttributeError):
+            J.J = Matrix.identity(QQ, 6).scale(-1)
+        with pytest.raises(AttributeError):
+            J.ambient = kodaira_thurston
+        with pytest.raises(AttributeError):
+            J.witness = None
+        assert J.ambient is h7 and J.J == AlmostComplexStructure.standard(h7).J
+
+    def test_derived_data_computed_once(self, monkeypatch, h7):
+        J = AlmostComplexStructure.standard(h7)
+        calls = Counter()
+        for name in ("nijenhuis", "pq_splitting", "BigradedComplex"):
+            monkeypatch.setattr(cxstruct, name,
+                                counting(calls, name, getattr(cxstruct, name)))
+        for _ in range(2):
+            assert is_integrable(J) and nijenhuis_witness(J) is None
+            assert J.splitting is J.splitting
+            assert dolbeault_complex(J, 1).m == 3
+            hodge_table(J)
+            hodge_table_ranks_oracle(J)
+        assert calls == {"nijenhuis": 1, "pq_splitting": 1,
+                         "BigradedComplex": 1}
 
 
 class TestIntegrability:
@@ -161,23 +194,35 @@ class TestDolbeault:
         for q in range(4):
             assert bc.dimension(q) == math.comb(3, 1) * math.comb(3, q)
 
-    def test_hodge_table_builds_the_complex_once(self, monkeypatch, j0,
+    def test_hodge_table_builds_the_complex_once(self, monkeypatch, h7,
                                                   h7_hodge):
+        # a fresh J: the shared fixture j0 already holds its complex
+        J = AlmostComplexStructure.standard(h7)
         calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in ("pq_splitting", "is_integrable"):
             monkeypatch.setattr(cxstruct, name,
-                                counting(name, getattr(cxstruct, name)))
+                                counting(calls, name, getattr(cxstruct, name)))
         monkeypatch.setattr(Matrix, "__mul__",
-                            counting("Matrix.__mul__", Matrix.__mul__))
-        assert hodge_table(j0) == h7_hodge
+                            counting(calls, "Matrix.__mul__", Matrix.__mul__))
+        assert hodge_table(J) == h7_hodge
         assert calls == {"pq_splitting": 1, "is_integrable": 1}
+
+    def test_oracle_eliminates_on_its_own(self, monkeypatch, h7, h7_hodge):
+        # the oracle reads the complex hodge_table built, but takes
+        # every rank by fraction-free elimination
+        J = AlmostComplexStructure.standard(h7)
+        assert hodge_table(J) == h7_hodge
+        calls = Counter()
+
+        def refuse(*args):
+            raise AssertionError("rref called by the oracle")
+
+        monkeypatch.setattr(linalg, "rref", refuse)
+        monkeypatch.setattr(cxstruct, "rank", refuse)
+        monkeypatch.setattr(cxstruct, "rank_fraction_free", counting(
+            calls, "rank_fraction_free", cxstruct.rank_fraction_free))
+        assert hodge_table_ranks_oracle(J) == h7_hodge
+        assert calls == {"rank_fraction_free": 4 * 4}
 
     def test_non_integrable_rejected(self, kodaira_thurston):
         J = AlmostComplexStructure.from_pairs(kodaira_thurston,

@@ -134,9 +134,29 @@ class TestSubspace:
     def test_extend_basis_within(self):
         s = Subspace(QQ, 3, [[1, 0, 0]])
         full = Subspace.full(QQ, 3)
-        ext = s.extend_basis_within(full)
+        ext = [full.basis[i] for i in s.extend_basis_within(full.basis)]
         assert len(ext) == 2
         assert Subspace(QQ, 3, list(s.basis) + ext).dim == 3
+
+    def test_extend_basis_within_first_come(self):
+        # the rule of rebuilding the span after every chosen vector
+        s = Subspace(QQ, 3, [[1, 1, 0]])
+        cands = [[2, 2, 0], [1, 0, 0], [0, 1, 0], [3, 1, 5], [0, 0, 1]]
+        assert s.extend_basis_within(cands) == [1, 3]
+        assert Subspace.zero(QQ, 3).extend_basis_within([]) == []
+        assert Subspace.zero(QQ, 0).extend_basis_within([[], []]) == []
+        rng = random.Random(3)
+        for _ in range(40):
+            base = Subspace(QQ, 4, [[rng.randint(-1, 1) for _ in range(4)]
+                                    for _ in range(rng.randint(0, 2))])
+            cands = [[rng.randint(-1, 1) for _ in range(4)]
+                     for _ in range(rng.randint(0, 6))]
+            expect, span = [], base
+            for pos, v in enumerate(cands):
+                if not span.contains(v):
+                    expect.append(pos)
+                    span = span.sum_(Subspace(QQ, 4, [v]))
+            assert base.extend_basis_within(cands) == expect
 
 
 def test_invert_empty_matrix():
