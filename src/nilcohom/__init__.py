@@ -3,8 +3,9 @@ algebras, with toroidal-group classification of foliation leaves.
 
 The package is organised in layers:
 
-* :mod:`nilcohom.exact` -- exact scalar fields, dense linear algebra,
-  integer lattice algorithms, certified real enclosures.
+* :mod:`nilcohom.exact` -- exact scalar fields, sparse differentials
+  and dense linear algebra, integer lattice algorithms, certified real
+  enclosures.
 * :mod:`nilcohom.liealg` -- structure-equation parsing, Chevalley-
   Eilenberg cohomology, rational structures and lattices.
 * :mod:`nilcohom.cxstruct` -- complex structures, integrability, the

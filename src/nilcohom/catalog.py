@@ -30,14 +30,11 @@ from .cxstruct import AlmostComplexStructure, is_integrable
 from .errors import (
     ParseError,
     StructureError,
-    UnsupportedError,
     input_errors_as_parse_error,
 )
-from .exact.fields import QuadSurd, build_field, complexify
 from .exact.linalg import Matrix
-from .exact.numbers import ExactRational, QuadraticSurd
 from .liealg import LieAlgebra, QStructure, parse_structure_equations
-from .toroidal import _parse_entry_expr, number_spec_from_document
+from .toroidal import _parse_entry_expr, number_declarations
 
 
 class CatalogEntry:
@@ -203,47 +200,7 @@ def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> LatticeData:
         if name not in numbers:
             raise ParseError(f"no declared number {name!r} to substitute")
         numbers[name] = parse_number_override(text)
-    surd_d = None
-    param_name = None
-    param_spec = None
-    elements = {}
-    pending_surd = None
-    for name, spec_doc in sorted(numbers.items()):
-        spec = number_spec_from_document(spec_doc)
-        if isinstance(spec, ExactRational):
-            elements[name] = ("rational", spec.value)
-        elif isinstance(spec, QuadraticSurd):
-            u, v, d = spec.quad_field_coords()
-            if surd_d is not None and surd_d != d:
-                raise UnsupportedError(
-                    "at most one quadratic extension is supported")
-            surd_d = d
-            elements[name] = ("surd", (u, v, d))
-        elif spec is None:
-            if param_name is not None:
-                raise UnsupportedError("at most one formal parameter")
-            param_name = name
-            elements[name] = ("param", None)
-        else:
-            if param_name is not None:
-                raise UnsupportedError("at most one formal parameter")
-            param_name = name
-            param_spec = spec
-            elements[name] = ("param", None)
-    field = build_field(surd_d, param_name)
-    cfield = complexify(field)
-    symbols = {}
-    for name, (kind, payload) in elements.items():
-        if kind == "rational":
-            symbols[name] = cfield.coerce(payload)
-        elif kind == "surd":
-            u, v, d = payload
-            elt = QuadSurd(u, v, d)
-            if param_name is not None:
-                elt = field.coerce(field.base.coerce(elt))
-            symbols[name] = cfield.coerce(elt)
-        else:
-            symbols[name] = cfield.coerce(field.gen())
+    field, cfield, symbols, bindings = number_declarations(numbers)
     gens = []
     for row in doc["generators"]:
         if len(row) != g.n:
@@ -256,7 +213,7 @@ def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> LatticeData:
             vec.append(val.re)
         gens.append(vec)
     g2 = g.extend_field(field) if field != g.field else g
-    return LatticeData(QStructure(g2, gens), g2, field, param_spec)
+    return LatticeData(QStructure(g2, gens), g2, field, bindings.get((0, 1)))
 
 
 def load_lattice_file(path, g: LieAlgebra, overrides=None) -> LatticeData:

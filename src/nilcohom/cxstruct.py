@@ -16,6 +16,7 @@ J reads the same splitting g_C = g^{1,0} + g^{0,1}.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -25,9 +26,8 @@ from .exact.linalg import (
     Matrix,
     Subspace,
     invert,
-    rank,
     rank_fraction_free,
-    sparse_columns,
+    reduce_columns,
     sparse_product,
 )
 from .liealg import (
@@ -196,13 +196,14 @@ class BigradedComplex:
 
     Letters 0..m-1 are the dual (1,0) frame, m..2m-1 its conjugate.
     ``d[k]`` is the full differential on the sorted k-monomials
-    ``bases[k]``, and ``weights[k][i]`` the holomorphic degree (number
-    of unbarred letters) of monomial i.  delbar at (p, q) is the block
-    of d_{p+q} that keeps the weight p.
+    ``bases[k]``, as sparse columns, and ``weights[k][i]`` the
+    holomorphic degree (number of unbarred letters) of monomial i.
+    ``delbar[k]`` holds the weight-keeping part of each column of
+    ``d[k]``: delbar on all bidegrees (p, q) with p + q = k at once.
 
     ``row(p)`` selects one holomorphic degree: the copy it returns has
-    ``dbar[q]``, the matrix (p, q) -> (p, q+1), ``dimension(q)`` and
-    ``cohomology()``.
+    ``dbar[q]``, a dense view of delbar (p, q) -> (p, q+1), and
+    ``dimension(q)``.
     """
 
     def __init__(self, J: AlmostComplexStructure):
@@ -228,35 +229,28 @@ class BigradedComplex:
         for k, ws in self.weights.items():
             for i, w in enumerate(ws):
                 self.slots.setdefault((w, k - w), []).append(i)
-        self._check_splitting()
+        self.delbar = self._split_delbar()
         self.p = None
         self.dbar = None
 
-    def _check_splitting(self):
-        """d has components of bidegree (1, 0) and (0, 1) only, and
-        delbar^2 = 0, checked once on sparse columns."""
-        dbar = {}
-        for k, mat in self.d.items():
+    def _split_delbar(self):
+        """The weight-keeping columns of each d[k], after checking that
+        d has components of bidegree (1, 0) and (0, 1) only and that
+        delbar^2 = 0."""
+        delbar = {}
+        for k, cols in self.d.items():
             src, tgt = self.weights[k], self.weights.get(k + 1, [])
-            cols = sparse_columns(mat)
             if any(tgt[i] - src[j] not in (0, 1)
                    for j, col in enumerate(cols) for i in col):
                 raise StructureError(
                     "d does not split as del + delbar (structure is not "
                     "integrable)")
-            dbar[k] = [{i: x for i, x in col.items() if tgt[i] == src[j]}
-                       for j, col in enumerate(cols)]
+            delbar[k] = [{i: x for i, x in col.items() if tgt[i] == src[j]}
+                         for j, col in enumerate(cols)]
         for k in range(2 * self.m):
-            if any(sparse_product(dbar[k + 1], dbar[k])):
+            if any(sparse_product(delbar[k + 1], delbar[k])):
                 raise StructureError("delbar^2 is nonzero; internal error")
-
-    def dbar_block(self, p, q) -> Matrix:
-        """delbar from (p, q) to (p, q+1)."""
-        rows = self.d[p + q].rows
-        src = self.slots.get((p, q), ())
-        tgt = self.slots.get((p, q + 1), ())
-        return Matrix(self.field, [[rows[i][j] for j in src] for i in tgt],
-                      ncols=len(src))
+        return delbar
 
     def row(self, p) -> "BigradedComplex":
         if not 0 <= p <= self.m:
@@ -264,25 +258,19 @@ class BigradedComplex:
                              f"0..{self.m}")
         view = copy.copy(self)
         view.p = p
-        view.dbar = {q: self.dbar_block(p, q) for q in range(self.m + 1)}
+        view.dbar = {}
+        zero = self.field.zero()
+        for q in range(self.m + 1):
+            cols = self.delbar[p + q]
+            src = self.slots.get((p, q), ())
+            tgt = self.slots.get((p, q + 1), ())
+            view.dbar[q] = Matrix(
+                self.field, [[cols[j].get(i, zero) for j in src] for i in tgt],
+                ncols=len(src))
         return view
 
     def dimension(self, q):
         return len(self.slots.get((self.p, q), ()))
-
-    def cohomology(self):
-        """h^{p, q} for q = 0..m of the selected row."""
-        return _row_cohomology(self, rank)
-
-
-def _row_cohomology(row, rank):
-    out = []
-    prev_rank = 0
-    for q in range(row.m + 1):
-        rank_q = rank(row.dbar[q])
-        out.append(row.dimension(q) - rank_q - prev_rank)
-        prev_rank = rank_q
-    return out
 
 
 def dolbeault_complex(J: AlmostComplexStructure, p: int) -> BigradedComplex:
@@ -295,17 +283,37 @@ def dolbeault_complex(J: AlmostComplexStructure, p: int) -> BigradedComplex:
 
 
 def hodge_table(J: AlmostComplexStructure):
-    """The full table h^{p,q} as a tuple of rows indexed by p."""
+    """The full table h^{p,q} as a tuple of rows indexed by p.  One
+    column reduction of delbar per total degree: delbar keeps the
+    weight, so each pivot column of weight p is one rank of delbar at
+    (p, q)."""
     big = J.bigraded
-    return tuple(tuple(big.row(p).cohomology()) for p in range(big.m + 1))
+    ranks = Counter()
+    for k, cols in big.delbar.items():
+        ws = big.weights[k]
+        pivots, _, _ = reduce_columns(big.field, cols, ws,
+                                      big.weights.get(k + 1, []))
+        for j in pivots.values():
+            ranks[(ws[j], k - ws[j])] += 1
+    m = big.m
+    return tuple(tuple(len(big.slots.get((p, q), ()))
+                       - ranks[(p, q)] - ranks[(p, q - 1)]
+                       for q in range(m + 1)) for p in range(m + 1))
 
 
 def hodge_table_ranks_oracle(J: AlmostComplexStructure):
     """Same table computed from the independent fraction-free
-    elimination routine, on the same matrices."""
+    elimination routine, on dense views of the same delbar."""
     big = J.bigraded
-    return tuple(tuple(_row_cohomology(big.row(p), rank_fraction_free))
-                 for p in range(big.m + 1))
+    table = []
+    for p in range(big.m + 1):
+        row = big.row(p)
+        # ranks[q] is the rank of delbar into (p, q)
+        ranks = [0] + [rank_fraction_free(row.dbar[q])
+                       for q in range(big.m + 1)]
+        table.append(tuple(row.dimension(q) - ranks[q + 1] - ranks[q]
+                           for q in range(big.m + 1)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

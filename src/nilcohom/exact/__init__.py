@@ -1,5 +1,6 @@
-"""Exact arithmetic layer: scalar field towers, dense linear algebra,
-integer lattice algorithms, and certified real enclosures."""
+"""Exact arithmetic layer: scalar field towers, sparse differentials
+and dense linear algebra, integer lattice algorithms, and certified
+real enclosures."""
 
 from .fields import (
     QQ,
@@ -29,6 +30,7 @@ from .linalg import (
     kernel_basis,
     rank,
     rank_fraction_free,
+    reduce_columns,
     rref,
     solve,
 )
@@ -50,7 +52,7 @@ __all__ = [
     "det_int", "integer_kernel", "is_unimodular", "minor_gcd_diagonal",
     "smith_diagonal", "smith_normal_form",
     "Matrix", "Subspace", "invert", "kernel_basis", "rank",
-    "rank_fraction_free", "rref", "solve",
+    "rank_fraction_free", "reduce_columns", "rref", "solve",
     "ConvergentSeries", "ExactRational", "ExponentPair", "NumberSpec",
     "QuadraticSurd", "convergent_family", "liouville_decimal",
     "power_tower",

@@ -1,9 +1,15 @@
-"""Exact dense linear algebra over any of the scalar fields.
+"""Exact linear algebra over any of the scalar fields.
 
-Matrices act on column vectors.  Monomial-sparse differentials are
-also handled as sparse columns (dicts row -> nonzero entry), with one
-sparse product.  Two independent elimination routines are provided:
-``rref`` (Gauss-Jordan with exact division) drives all
+Cochain differentials are sparse columns: one dict per source basis
+vector, mapping row index to a nonzero entry.  They have one sparse
+product and one elimination, ``reduce_columns``, the persistence-style
+column reduction that gives every rank and spectral page of a
+differential (its rank is the pivot count with all weights zero).
+
+Matrices act on column vectors.  Dense ``Matrix`` objects carry the
+ambient linear algebra (complex structures, frames, subspaces,
+lattices) and serve as views of a differential for the independent
+references.  ``rref`` (Gauss-Jordan with exact division) drives their
 rank/kernel computations, and ``rank_fraction_free`` is a Bareiss-style
 one-step fraction-free elimination with largest-numerator pivoting,
 kept as a cross-checking oracle.
@@ -55,6 +61,13 @@ class Matrix:
             raise ValueError("empty column list needs a row count")
         return cls(field, [[c[i] for c in cols] for i in range(nrows)],
                    ncols=len(cols))
+
+    @classmethod
+    def from_sparse_columns(cls, field, cols, nrows):
+        """Dense view of sparse columns (dicts row -> entry)."""
+        zero = field.zero()
+        return cls(field, [[c.get(i, zero) for c in cols]
+                           for i in range(nrows)], ncols=len(cols))
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -135,16 +148,6 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
 
 
-def sparse_columns(mat: Matrix):
-    """Columns of ``mat`` as dicts row -> nonzero entry."""
-    cols = [{} for _ in range(mat.ncols)]
-    for i, row in enumerate(mat.rows):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
-
 def add_multiple(target, f, src):
     """target += f * src for sparse vectors (dicts index -> scalar)."""
     for i, x in src.items():
@@ -165,6 +168,41 @@ def sparse_product(a_cols, b_cols):
             add_multiple(image, x, a_cols[i])
         out.append(image)
     return out
+
+
+def reduce_columns(field, cols, wsrc, wtgt):
+    """Persistence reduction R = D V of one differential D, given by its
+    sparse columns, with a weight per column (``wsrc``) and per row
+    (``wtgt``, one per row of D).
+
+    Columns go in order of decreasing weight (ties by index) and only
+    earlier columns are added to a column; a reduced column's pivot is
+    its least-filtered nonzero row.  Returns (pivot_col, R, V):
+    ``pivot_col`` maps each pivot row to its column, R[j] and V[j] are
+    sparse dicts with R[j] = D V[j], and every nonzero R[j] is scaled
+    to 1 at its pivot.  The rank of D is ``len(pivot_col)``.
+    """
+    one = field.one()
+    row_pos = {i: pos for pos, i in enumerate(
+        sorted(range(len(wtgt)), key=lambda i: (-wtgt[i], i)))}
+    pivot_col, R, V = {}, {}, {}
+    for j in sorted(range(len(cols)), key=lambda j: (-wsrc[j], j)):
+        col = dict(cols[j])
+        vec = {j: one}
+        while col:
+            low = max(col, key=row_pos.__getitem__)
+            other = pivot_col.get(low)
+            if other is None:
+                inv = _inv(col[low])
+                col = {i: x * inv for i, x in col.items()}
+                vec = {i: x * inv for i, x in vec.items()}
+                pivot_col[low] = j
+                break
+            f = -col[low]
+            add_multiple(col, f, R[other])
+            add_multiple(vec, f, V[other])
+        R[j], V[j] = col, vec
+    return pivot_col, R, V
 
 
 def rref(m: Matrix):

@@ -36,6 +36,7 @@ from .exact.linalg import (
     invert,
     kernel_basis,
     rank,
+    reduce_columns,
 )
 
 
@@ -78,47 +79,49 @@ def check_letter_count(n: int) -> None:
             f"{2 ** MAX_LETTERS} exterior monomials)")
 
 
-def _leibniz_matrix(field, n: int, images, k: int, k_out: int) -> Matrix:
-    """Matrix of the derivation of the exterior algebra on n letters
-    from degree k to degree k_out, determined by its values on letters.
+def _leibniz_matrix(field, n: int, images, k: int, k_out: int):
+    """Sparse columns of the derivation of the exterior algebra on n
+    letters from degree k to degree k_out, determined by its values on
+    letters.
 
     ``images[t]`` is a dict mapping sorted letter tuples of length
-    k_out - k + 1 to coefficients: the image of letter t.  The
-    derivation extends by the graded Leibniz rule, so letter t in slot
-    pos of a monomial contributes (-1)^pos times its image wedged in
-    front of the remaining letters, whatever the degree s = k_out - k:
-    the Leibniz sign (-1)^(pos s) times the sign (-1)^(pos (s+1)) of
-    moving the (s+1)-letter image to the front.  The returned matrix
-    maps coordinates on the sorted k-monomials to coordinates on the
-    sorted k_out-monomials.
+    k_out - k + 1 to nonzero field elements: the image of letter t.
+    The derivation extends by the graded Leibniz rule, so letter t in
+    slot pos of a monomial contributes (-1)^pos times its image wedged
+    in front of the remaining letters, whatever the degree
+    s = k_out - k: the Leibniz sign (-1)^(pos s) times the sign
+    (-1)^(pos (s+1)) of moving the (s+1)-letter image to the front.
+    Column j, for the j-th sorted k-monomial, is a dict mapping the
+    index of a sorted k_out-monomial to its nonzero coefficient.
     """
     check_letter_count(n)
-    basis_out = wedge_basis(n, k_out)
-    index = {mono: i for i, mono in enumerate(basis_out)}
-    zero = field.zero()
+    index = {mono: i for i, mono in enumerate(wedge_basis(n, k_out))}
     cols = []
     for mono in wedge_basis(n, k):
-        col = [zero] * len(basis_out)
+        col = {}
         for pos, letter in enumerate(mono):
             rest = mono[:pos] + mono[pos + 1:]
+            slot_sign = -1 if pos % 2 else 1
             for word, coeff in images[letter].items():
                 merged, sgn = wedge_merge(word, rest)
                 if merged is None:
                     continue
                 i = index[merged]
-                col[i] = col[i] + (coeff if sgn == (-1) ** pos else -coeff)
-        cols.append(col)
-    return Matrix.from_columns(field, cols, nrows=len(basis_out))
+                c = coeff if sgn == slot_sign else -coeff
+                y = col.get(i)
+                col[i] = c if y is None else y + c
+        cols.append({i: x for i, x in col.items() if x})
+    return cols
 
 
-def exterior_differential(field, n: int, gen_image, k: int) -> Matrix:
-    """Matrix of the degree-k exterior differential determined by its
-    values on dual generators.
+def exterior_differential(field, n: int, gen_image, k: int):
+    """Sparse columns of the degree-k exterior differential determined
+    by its values on dual generators.
 
     ``gen_image[m]`` is a dict (a, b) -> coefficient (a < b) giving the
     2-form d e^m.  The differential extends by the graded Leibniz rule;
-    the returned matrix maps coordinates on the sorted k-monomials to
-    coordinates on the sorted (k+1)-monomials.
+    column j, for the j-th sorted k-monomial, maps indices of sorted
+    (k+1)-monomials to nonzero coefficients.
     """
     return _leibniz_matrix(field, n, gen_image, k, k + 1)
 
@@ -428,31 +431,39 @@ def check_jacobi(g: LieAlgebra):
 
 
 def check_jacobi_via_differential(g: LieAlgebra):
-    """Equivalent d o d = 0 test on the dual exterior algebra; must give
-    the same verdict as :func:`check_jacobi`."""
+    """Equivalent d o d = 0 test on the dual exterior algebra, by dense
+    products; must give the same verdict as :func:`check_jacobi`."""
+    def dense(k):
+        return Matrix.from_sparse_columns(g.field, ce_differential(g, k),
+                                          math.comb(g.n, k + 1))
+
     for k in range(g.n - 1):
-        d_k = ce_differential(g, k)
-        d_k1 = ce_differential(g, k + 1)
-        if not (d_k1 * d_k).is_zero():
+        if not (dense(k + 1) * dense(k)).is_zero():
             return False
     return True
 
 
-def ce_differential(g: LieAlgebra, k: int) -> Matrix:
-    """Matrix of d from degree-k to degree-(k+1) invariant forms in the
-    sorted multi-index basis."""
+def ce_differential(g: LieAlgebra, k: int):
+    """Sparse columns of d from degree-k to degree-(k+1) invariant forms
+    in the sorted multi-index basis."""
     if not 0 <= k <= g.n:
         raise ValueError(f"degree {k} out of range 0..{g.n}")
     return exterior_differential(g.field, g.n, g.dual_generator_image(), k)
 
 
 def betti_numbers(g: LieAlgebra):
-    """All Betti numbers b_0..b_n of the invariant-forms complex."""
+    """All Betti numbers b_0..b_n of the invariant-forms complex; each
+    rank is the pivot count of the column reduction."""
     out = []
     prev_rank = 0
     for k in range(g.n + 1):
         dim_k = math.comb(g.n, k)
-        rank_k = rank(ce_differential(g, k)) if k < g.n else 0
+        rank_k = 0
+        if k < g.n:
+            cols = ce_differential(g, k)
+            pivots, _, _ = reduce_columns(g.field, cols, [0] * dim_k,
+                                          [0] * math.comb(g.n, k + 1))
+            rank_k = len(pivots)
         out.append(dim_k - rank_k - prev_rank)
         prev_rank = rank_k
     return out

@@ -6,10 +6,11 @@ filtration of a Lie algebra complex with module coefficients.  Each is
 given by one integer weight per basis vector; basis vector i of C^k
 lies in F^p exactly when its weight is >= p.
 
-All pages then follow from one persistence-style column reduction of
-each differential d_k (Zomorodian-Carlsson, *Computing persistent
-homology*; Basu-Parida, *Spectral sequences, exact couples and
-persistent homology of filtrations*).  Columns are taken in order of
+Differentials are sparse columns, and all pages follow from one
+persistence-style column reduction of each d_k,
+``exact.linalg.reduce_columns`` (Zomorodian-Carlsson, *Computing
+persistent homology*; Basu-Parida, *Spectral sequences, exact couples
+and persistent homology of filtrations*).  Columns are taken in order of
 decreasing weight, a column only ever has earlier columns added to it,
 and its pivot is its least-filtered nonzero row.  A pair (column j,
 pivot row i) of weight gap r = w(i) - w(j) is one rank of d_r at
@@ -17,8 +18,10 @@ pivot row i) of weight gap r = w(i) - w(j) is one rank of d_r at
 when it is unpaired or paired at a gap >= r.  Representatives come
 from the reduction too: the column-operation vector V_j for a column,
 the reduced column R_j = d V_j for the pivot row it ends on.  The
-second page of the Lie algebra instance is recomputed independently
-as cohomology-of-cohomology and compared.
+checks stay independent of the reduction: the stable page is compared
+with the total cohomology from dense ``rank``, and the second page of
+the Lie algebra instance is recomputed as cohomology-of-cohomology by
+dense elimination.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from collections import defaultdict
 from itertools import combinations
 
 from .errors import StructureError, UnsupportedError
-from .exact.fields import _inv
 from .exact.linalg import (
     Matrix,
     Subspace,
     add_multiple,
     kernel_basis,
     rank,
+    reduce_columns,
     solve,
-    sparse_columns,
     sparse_product,
 )
 from .cxstruct import AlmostComplexStructure
@@ -52,16 +54,17 @@ from .liealg import (
 class FilteredComplex:
     """A finite cochain complex with a monomial decreasing filtration
     preserved by the differential: basis vector i of C^k lies in F^p
-    exactly when ``weights[k][i] >= p``."""
+    exactly when ``weights[k][i] >= p``.  ``d[k]`` holds the sparse
+    columns of d_k, one dict row -> nonzero entry per basis vector of
+    C^k."""
 
-    def __init__(self, field, dims, d, weights, validate=True):
+    def __init__(self, field, dims, d, weights):
         self.field = field
         self.dims = dict(dims)
         self.degrees = sorted(self.dims)
         self.d = dict(d)
         self.weights = {k: list(v) for k, v in weights.items()}
-        if validate:
-            self._validate()
+        self._validate()
         # F^plevels is zero in every degree
         self.plevels = 1 + max((w for ws in self.weights.values() for w in ws),
                                default=0)
@@ -70,12 +73,14 @@ class FilteredComplex:
         for k in self.degrees[:-1]:
             if k + 1 not in self.dims:
                 raise StructureError(f"degree gap at {k + 1}")
-        for k, mat in self.d.items():
-            if mat.ncols != self.dims[k] or mat.nrows != self.dims.get(k + 1, 0):
+        for k, cols in self.d.items():
+            nrows = self.dims.get(k + 1, 0)
+            if (k not in self.dims or len(cols) != self.dims[k]
+                    or any(not 0 <= i < nrows for col in cols for i in col)):
                 raise StructureError(f"differential shape mismatch at {k}")
         for k in self.degrees:
-            if k in self.d and (k + 1) in self.d and any(sparse_product(
-                    sparse_columns(self.d[k + 1]), sparse_columns(self.d[k]))):
+            if k in self.d and (k + 1) in self.d and any(
+                    sparse_product(self.d[k + 1], self.d[k])):
                 raise StructureError(f"d o d nonzero at degree {k}")
         for k in self.degrees:
             ws = self.weights.get(k)
@@ -93,20 +98,23 @@ class FilteredComplex:
                 continue
             src, tgt = self.weights[k], self.weights.get(k + 1, [])
             # F^p C^k maps outside F^p C^{k+1} for w(i) < p <= w(j)
-            worst = min((tgt[i] + 1 for i, row in enumerate(self.d[k].rows)
-                         for j, x in enumerate(row) if x and tgt[i] < src[j]),
-                        default=None)
+            worst = min((tgt[i] + 1 for j, col in enumerate(self.d[k])
+                         for i in col if tgt[i] < src[j]), default=None)
             if worst is not None:
                 raise StructureError("filtration not preserved by d",
                                      witness=(k, worst))
 
+    def matrix(self, k) -> Matrix:
+        """Dense view of d_k, for the independent references."""
+        return Matrix.from_sparse_columns(self.field, self.d[k],
+                                          self.dims.get(k + 1, 0))
+
     def total_cohomology(self):
-        out = {}
-        for k in self.degrees:
-            rank_k = rank(self.d[k]) if k in self.d else 0
-            rank_km1 = rank(self.d[k - 1]) if (k - 1) in self.d else 0
-            out[k] = self.dims[k] - rank_k - rank_km1
-        return out
+        """dim H^k by dense elimination (``rank``), independent of the
+        column reduction behind :func:`pages`; each d_k is ranked once."""
+        ranks = {k: rank(self.matrix(k)) for k in self.d}
+        return {k: self.dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
+                for k in self.degrees}
 
 
 class SpectralPages:
@@ -140,40 +148,6 @@ class SpectralPages:
                 f"E_inf={self.table(len(self.pages) - 1)})")
 
 
-def _reduce(mat: Matrix, wsrc, wtgt):
-    """Persistence reduction R = mat V of one differential.
-
-    Columns go in order of decreasing weight (ties by index) and only
-    earlier columns are added to a column; a reduced column's pivot is
-    its least-filtered nonzero row.  Returns (pivot_col, R, V):
-    ``pivot_col`` maps each pivot row to its column, R[j] and V[j] are
-    sparse dicts with R[j] = mat V[j], and every nonzero R[j] is
-    scaled to 1 at its pivot.
-    """
-    one = mat.field.one()
-    row_pos = {i: pos for pos, i in enumerate(
-        sorted(range(mat.nrows), key=lambda i: (-wtgt[i], i)))}
-    cols = sparse_columns(mat)
-    pivot_col, R, V = {}, {}, {}
-    for j in sorted(range(mat.ncols), key=lambda j: (-wsrc[j], j)):
-        col = cols[j]
-        vec = {j: one}
-        while col:
-            low = max(col, key=row_pos.__getitem__)
-            other = pivot_col.get(low)
-            if other is None:
-                inv = _inv(col[low])
-                col = {i: x * inv for i, x in col.items()}
-                vec = {i: x * inv for i, x in vec.items()}
-                pivot_col[low] = j
-                break
-            f = -col[low]
-            add_multiple(col, f, R[other])
-            add_multiple(vec, f, V[other])
-        R[j], V[j] = col, vec
-    return pivot_col, R, V
-
-
 def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
     """All pages of the spectral sequence of a filtered complex,
     iterated until the differentials vanish on two consecutive pages
@@ -191,7 +165,8 @@ def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
     for k in degrees:
         if k not in fc.d:
             continue
-        pivot_col, R, V = _reduce(fc.d[k], weights[k], weights.get(k + 1, []))
+        pivot_col, R, V = reduce_columns(fc.field, fc.d[k], weights[k],
+                                         weights.get(k + 1, []))
         for j in range(fc.dims[k]):
             if gap[k][j] is None:    # not already the pivot of d_{k-1}
                 rep[k][j] = V[j]
@@ -276,64 +251,68 @@ def frolicher(g: LieAlgebra, J: AlmostComplexStructure) -> SpectralPages:
 # Lie algebra complexes with module coefficients
 
 
+def _module_columns(mono_cols, mdim, action_terms):
+    """Sparse columns of D (x) 1 plus a module-action part, on the basis
+    (monomial, module vector), monomial major.
+
+    ``mono_cols[j]`` is column j of D on monomials; ``action_terms[j]``
+    lists triples (row monomial r, sign, action) adding sign * action[w][v]
+    at row (r, w) of column (j, v), where ``action`` is an mdim x mdim
+    matrix given by its sparse columns."""
+    out = []
+    for j, mono_col in enumerate(mono_cols):
+        for v in range(mdim):
+            col = {i * mdim + v: x for i, x in mono_col.items()}
+            for r, sgn, act in action_terms[j]:
+                add_multiple(col, sgn, {r * mdim + w: c
+                                        for w, c in act[v].items()})
+            out.append(col)
+    return out
+
+
 def lie_module_complex(field, ell: int, brackets, actions, mdim: int):
     """Chevalley-Eilenberg complex of an ell-dimensional algebra with a
     module of dimension mdim.
 
     ``brackets``: dict (a, b) -> dict c -> coefficient (a < b);
-    ``actions``: per-generator mdim x mdim matrices.
+    ``actions``: per-generator mdim x mdim matrices as sparse columns.
     Returns (dims, d) with basis (monomial, module-vector), monomial
-    major.
+    major, and each d[k] as sparse columns.
     """
     gen_image = LieAlgebra(field, ell, brackets,
                            validate=False).dual_generator_image()
-    zero = field.zero()
     dims = {k: math.comb(ell, k) * mdim for k in range(ell + 1)}
     d = {}
     for k in range(ell):
-        dce = exterior_differential(field, ell, gen_image, k)
         index1 = {mono: i for i, mono in enumerate(wedge_basis(ell, k + 1))}
-        rows = [[zero] * dims[k] for _ in range(dims[k + 1])]
-        for cj, mono in enumerate(wedge_basis(ell, k)):
-            # Chevalley-Eilenberg part, tensored with the identity on M
-            col = dce.column(cj)
-            for ri, val in enumerate(col):
-                if val:
-                    for v in range(mdim):
-                        rows[ri * mdim + v][cj * mdim + v] = val
-            # module-action part: sum_a omega^a wedge mono (x) rho_a
-            for a in range(ell):
-                merged, sgn = wedge_merge((a,), mono)
-                if merged is None:
-                    continue
-                ri = index1[merged]
-                act = actions[a]
-                for w in range(mdim):
-                    for v in range(mdim):
-                        c = act.rows[w][v]
-                        if c:
-                            c = c if sgn > 0 else -c
-                            rows[ri * mdim + w][cj * mdim + v] = (
-                                rows[ri * mdim + w][cj * mdim + v] + c)
-        d[k] = Matrix(field, rows, ncols=dims[k])
+        # module-action part: sum_a omega^a wedge mono (x) rho_a
+        terms = []
+        for mono in wedge_basis(ell, k):
+            merged = [(wedge_merge((a,), mono), a) for a in range(ell)]
+            terms.append([(index1[mo], sgn, actions[a])
+                          for (mo, sgn), a in merged if mo is not None])
+        d[k] = _module_columns(exterior_differential(field, ell, gen_image, k),
+                               mdim, terms)
     return dims, d
 
 
 def cohomology_with_reps(field, dims, d):
-    """Cohomology of a finite complex with explicit representative
-    cocycles and a reducer expressing any cocycle in those
-    representatives modulo coboundaries."""
+    """Cohomology of a finite complex (d[k] as sparse columns) with
+    explicit representative cocycles and a reducer expressing any
+    cocycle in those representatives modulo coboundaries, by dense
+    elimination."""
     degrees = sorted(dims)
     out = {}
     for k in degrees:
         dim_k = dims[k]
         if k in d:
-            ker = Subspace(field, dim_k, kernel_basis(d[k]))
+            ker = Subspace(field, dim_k, kernel_basis(Matrix.from_sparse_columns(
+                field, d[k], dims.get(k + 1, 0))))
         else:
             ker = Subspace.full(field, dim_k)
         if (k - 1) in d:
-            img = Subspace(field, dim_k,
-                           [d[k - 1].column(j) for j in range(d[k - 1].ncols)])
+            img = Subspace(field, dim_k, Matrix.from_sparse_columns(
+                field, d[k - 1], dim_k).columns())
         else:
             img = Subspace.zero(field, dim_k)
         reps = [ker.basis[i] for i in img.extend_basis_within(ker.basis)]
@@ -438,7 +417,7 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
         mdim = math.comb(m, p)
     else:
         mdim = 1
-        actions = [Matrix.zeros(field, 1, 1) for _ in range(ell)]
+        actions = [[{}] for _ in range(ell)]
 
     r_sub = sub.dim
     n_quot = ell - r_sub
@@ -465,7 +444,6 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     pg = pages(fc)
 
     # independent second page: H^r(quotient, H^s(sub, module))
-    zero = field.zero()
     sub_brackets = {k: v for k, v in brackets.items() if k[1] < r_sub}
     sub_dims, sub_d = lie_module_complex(field, r_sub, sub_brackets,
                                          actions[:r_sub], mdim)
@@ -474,7 +452,7 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     sub_basis_monos = {t: wedge_basis(r_sub, t) for t in range(r_sub + 1)}
     adapted = LieAlgebra(field, ell, brackets, validate=False)
 
-    def theta_matrix(letter, t):
+    def theta_columns(letter, t):
         """Action of an ambient letter on C^t(sub, module)."""
         # coadjoint part: omega^c -> -omega^c([letter, .]) on the sub duals
         images = [{} for _ in range(r_sub)]
@@ -483,25 +461,10 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
             for c in range(r_sub):
                 if w[c]:
                     images[c][(b,)] = -w[c]
-        Dpart = _leibniz_matrix(field, r_sub, images, t, t)
         nmono = len(sub_basis_monos[t])
-        rows = [[zero] * (nmono * mdim) for _ in range(nmono * mdim)]
-        act = actions[letter]
-        for i in range(nmono):
-            for jj in range(nmono):
-                c = Dpart.rows[i][jj]
-                if c:
-                    for v in range(mdim):
-                        rows[i * mdim + v][jj * mdim + v] = (
-                            rows[i * mdim + v][jj * mdim + v] + c)
-        for i in range(nmono):
-            for w in range(mdim):
-                for v in range(mdim):
-                    c = act.rows[w][v]
-                    if c:
-                        rows[i * mdim + w][i * mdim + v] = (
-                            rows[i * mdim + w][i * mdim + v] + c)
-        return Matrix(field, rows, ncols=nmono * mdim)
+        return _module_columns(_leibniz_matrix(field, r_sub, images, t, t),
+                               mdim, [[(i, 1, actions[letter])]
+                                      for i in range(nmono)])
 
     quot_brackets = {}
     for a, b in combinations(range(n_quot), 2):
@@ -518,14 +481,16 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
             continue
         h_actions = []
         for a in range(n_quot):
-            th = theta_matrix(a + r_sub, t)
-            cols = [list(reducer(th.apply(z))) for z in reps]
-            h_actions.append(Matrix.from_columns(field, cols, nrows=hdim))
+            th = Matrix.from_sparse_columns(
+                field, theta_columns(a + r_sub, t), sub_dims[t])
+            h_actions.append([{i: x for i, x in enumerate(reducer(th.apply(z)))
+                               if x} for z in reps])
         qdims, qd = lie_module_complex(field, n_quot, quot_brackets,
                                        h_actions, hdim)
         prev_rank = 0
         for s in range(n_quot + 1):
-            rk = rank(qd[s]) if s in qd else 0
+            rk = rank(Matrix.from_sparse_columns(
+                field, qd[s], qdims[s + 1])) if s in qd else 0
             val = qdims[s] - rk - prev_rank
             prev_rank = rk
             if val:

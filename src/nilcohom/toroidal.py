@@ -40,8 +40,9 @@ Generator entries use the grammar
     factor := rational | "i" | name | "(" expr ")" | "-" factor
     rational := digits ["/" digits]
 
-with at most one quadratic number and at most one formal/convergent
-parameter declared (field towers are two levels deep at most).
+with at most one quadratic field and at most one formal/convergent
+parameter declared (field towers are two levels deep at most); several
+quadratic numbers may share the one field, like sqrt:2 and sqrt:8.
 """
 
 from __future__ import annotations
@@ -1027,60 +1028,67 @@ def number_spec_from_document(doc) -> NumberSpec | None:
     raise ParseError(f"unknown number type {kind!r}")
 
 
+def number_declarations(numbers):
+    """Read a ``numbers`` block into (field, cfield, symbols, bindings).
+
+    ``field`` is the real tower Q [ (sqrt d) ] [ (parameter) ] and
+    ``cfield`` its complexification.  Several quadratic numbers may be
+    declared when they share one field Q(sqrt d); at most one formal or
+    convergent parameter may be.  ``symbols`` maps each declared name
+    to its element of ``cfield``, and ``bindings`` maps the tower's
+    basis labels to certified numbers: (1, 0) to sqrt d and (0, 1) to
+    the parameter's spec (None when it is formal).
+    """
+    surd_d = None
+    param_name = None
+    param_spec = None
+    values = {}
+    for name, spec_doc in sorted(numbers.items()):
+        spec = number_spec_from_document(spec_doc)
+        if isinstance(spec, ExactRational):
+            values[name] = spec.value
+        elif isinstance(spec, QuadraticSurd):
+            u, v, d = spec.quad_field_coords()
+            if surd_d is not None and surd_d != d:
+                raise UnsupportedError(
+                    "at most one quadratic extension is supported (field "
+                    "towers are two levels deep)")
+            surd_d = d
+            values[name] = QuadSurd(u, v, d)
+        else:
+            if param_name is not None:
+                raise UnsupportedError(
+                    "at most one formal/convergent parameter is supported")
+            param_name, param_spec = name, spec
+    field = build_field(surd_d, param_name)
+    cfield = complexify(field)
+    symbols = {}
+    for name, value in values.items():
+        if isinstance(value, QuadSurd) and param_name is not None:
+            value = field.coerce(field.base.coerce(value))
+        symbols[name] = cfield.coerce(value)
+    bindings = {}
+    if surd_d is not None:
+        bindings[(1, 0)] = QuadraticSurd(1, 0, -surd_d, "plus")
+    if param_name is not None:
+        symbols[param_name] = cfield.coerce(field.gen())
+        bindings[(0, 1)] = param_spec
+    return field, cfield, symbols, bindings
+
+
 @input_errors_as_parse_error("period document")
 def period_data_from_document(doc) -> PeriodData:
     """Build period data from a parsed JSON document; see the module
     docstring for the grammar."""
     n = int(doc["dimension"])
-    generators = doc["generators"]
-    numbers = doc.get("numbers", {})
-    surd_d = None
-    param_name = None
-    param_spec = None
-    rational_values = {}
-    surd_name = None
-    for name, spec_doc in sorted(numbers.items()):
-        spec = number_spec_from_document(spec_doc)
-        if isinstance(spec, ExactRational):
-            rational_values[name] = spec.value
-        elif isinstance(spec, QuadraticSurd):
-            if surd_d is not None:
-                raise UnsupportedError(
-                    "at most one quadratic number is supported (field "
-                    "towers are two levels deep)")
-            surd_name = name
-            surd_spec = spec
-            _, _, surd_d = spec.quad_field_coords()
-        else:
-            if param_name is not None:
-                raise UnsupportedError(
-                    "at most one formal/convergent parameter is supported")
-            param_name = name
-            param_spec = spec
-    field = build_field(surd_d, param_name)
-    cfield = complexify(field)
-    symbols = {}
-    for name, value in rational_values.items():
-        symbols[name] = cfield.coerce(value)
-    if surd_name is not None:
-        u, v, d = surd_spec.quad_field_coords()
-        surd_elt = QuadSurd(u, v, d)
-        if param_name is not None:
-            surd_elt = field.coerce(field.base.coerce(surd_elt))
-        symbols[surd_name] = cfield.coerce(surd_elt)
-    if param_name is not None:
-        symbols[param_name] = cfield.coerce(field.gen())
+    field, cfield, symbols, bindings = number_declarations(
+        doc.get("numbers", {}))
     gens = []
-    for row in generators:
+    for row in doc["generators"]:
         if len(row) != n:
             raise ParseError("generator row has the wrong length")
         gens.append([_parse_entry_expr(str(x), cfield, symbols)
                      for x in row])
-    bindings = {}
-    if surd_d is not None:
-        bindings[(1, 0)] = QuadraticSurd(1, 0, -surd_d, "plus")
-    if param_name is not None:
-        bindings[(0, 1)] = param_spec
     return PeriodData(field, n, gens, bindings)
 
 

@@ -65,7 +65,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
             return zcache[key]
         base = F(p, k)
         if r >= 1 and k in fc.d:
-            pre = preimage_under(F(p + r, k + 1), fc.d[k])
+            pre = preimage_under(F(p + r, k + 1), fc.matrix(k))
             base = base.intersect(pre)
         zcache[key] = base
         return base
@@ -80,7 +80,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
         k = p + q
         src = Z(r - 1, p - r + 1, q + r - 2)
         if (k - 1) in fc.d and src.dim:
-            a = a.sum_(src.image_under(fc.d[k - 1]))
+            a = a.sum_(src.image_under(fc.matrix(k - 1)))
         bcache[key] = a
         return a
 
@@ -107,7 +107,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
             if k not in fc.d or not z.dim:
                 continue
             tgt = boundary(r, p + r, q - r + 1)
-            rk = tgt.sum_(z.image_under(fc.d[k])).dim - tgt.dim
+            rk = tgt.sum_(z.image_under(fc.matrix(k))).dim - tgt.dim
             if rk:
                 ranks[(p, q)] = rk
                 total_rank += rk

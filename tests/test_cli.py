@@ -327,3 +327,45 @@ def test_catalog_derives_each_structure_once(capsys, monkeypatch):
                          "kodaira-thurston")
     assert code == 0
     assert calls == {"nijenhuis": 1, "pq_splitting": 1, "BigradedComplex": 1}
+
+
+@pytest.mark.parametrize("d2,code", [(8, 0), (3, 4)])
+def test_period_surds_must_share_one_field(capsys, tmp_path, d2, code):
+    # sqrt 8 = 2 sqrt 2 lives in Q(sqrt 2); sqrt 3 does not
+    f = tmp_path / "period.json"
+    f.write_text(json.dumps({
+        "dimension": 2,
+        "numbers": {"r": {"type": "sqrt", "d": 2},
+                    "s": {"type": "sqrt", "d": d2}},
+        "generators": [["1", "0"], ["0", "1"], ["r+s", "i"]]}))
+    assert run(capsys, "toroidal", str(f))[0] == code
+
+
+TWELVE_LETTERS = "(0,0,0,0,0,0,0,0,0,0,12,34)"
+
+
+def test_twelve_letter_hodge_table(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", TWELVE_LETTERS, "--J", "std",
+                         "--hodge-table", "--json")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert json.loads(out)["results"]["hodge_table"] == [
+        [1, 6, 15, 20, 15, 6, 1], [5, 29, 70, 90, 65, 25, 4],
+        [10, 58, 140, 180, 130, 50, 8], [11, 66, 165, 220, 165, 66, 11],
+        [8, 50, 130, 180, 140, 58, 10], [4, 25, 65, 90, 70, 29, 5],
+        [1, 6, 15, 20, 15, 6, 1]]
+
+
+def test_twelve_letter_de_rham(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", TWELVE_LETTERS, "--de-rham")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    # two Heisenberg algebras times R^6
+    h3 = [1, 2, 2, 1]
+    h3_squared = [sum(h3[i] * h3[k - i] for i in range(4) if 0 <= k - i < 4)
+                  for k in range(7)]
+    betti = [sum(h3_squared[i] * math.comb(6, k - i)
+                 for i in range(7) if 0 <= k - i <= 6) for k in range(13)]
+    assert f"betti: {betti}" in out

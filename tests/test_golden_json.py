@@ -1,0 +1,97 @@
+"""Byte-for-byte ``--json`` output of a fixed set of CLI commands.
+
+The expected stdout of each command is stored in ``tests/golden/``.
+Re-record after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden_json.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from nilcohom.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+VERIFY_H7 = ["verify-theorem", "h7", "--J", "std",
+             "--lattice", "builtin:example-a",
+             "--ideal", "e3,e4,e5,e6", "--f0", "e5,e6",
+             "--g0", "Xbar1,Xbar3"]
+
+# the period numbers of tests/test_cli.py, one period file each
+PERIOD_NUMBERS = {
+    "sqrt2": {"type": "sqrt", "d": 2},
+    "half": {"type": "rational", "value": "1/2"},
+    "power_tower": {"type": "convergents", "family": "power-tower",
+                    "base": 2, "start": 4},
+}
+
+CASES = {
+    "hodge_kt": ["cohomology", "kodaira-thurston", "--J", "std",
+                 "--hodge-table"],
+    "hodge_heis3r3": ["cohomology", "heis3r3", "--J", "std", "--hodge-table"],
+    "hodge_h7": ["cohomology", "h7", "--J", "std", "--hodge-table"],
+    "hodge_iwasawa": ["cohomology", "(0,0,0,0,13-24,14+23)", "--J", "std",
+                      "--hodge-table"],
+    "hodge_8dim": ["cohomology", "(0,0,0,0,0,0,12,34)", "--J", "std",
+                   "--hodge-table"],
+    "de_rham_h7": ["cohomology", "h7", "--de-rham"],
+    "de_rham_10dim": ["cohomology", "(0,0,0,0,0,0,0,0,12,34)", "--de-rham"],
+    "catalog_run": ["catalog", "run"],
+    "verify_h7": VERIFY_H7,
+    "verify_h7_third": VERIFY_H7 + ["--param", "a=1/3"],
+    "verify_h7_sqrt8": VERIFY_H7 + ["--param", "a=sqrt:8"],
+    **{f"toroidal_{name}": ["toroidal", f"period_{name}.json"]
+       for name in PERIOD_NUMBERS},
+}
+
+
+def run_case(argv):
+    """(exit code, stdout) of ``main(argv + ["--json"])``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv) + ["--json"])
+    return code, out.getvalue()
+
+
+def write_period_files(directory):
+    for name, number in PERIOD_NUMBERS.items():
+        with open(os.path.join(directory, f"period_{name}.json"), "w") as fh:
+            json.dump({"dimension": 2, "numbers": {"a": number},
+                       "generators": [["1", "0"], ["0", "1"], ["a", "i"]]},
+                      fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("NILCOHOM_SCAN_BOUND", raising=False)
+    write_period_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_case(CASES[name])
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        assert out == fh.read()
+
+
+if __name__ == "__main__":
+    os.environ.pop("NILCOHOM_SCAN_BOUND", None)
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_period_files(tmp)
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, argv in sorted(CASES.items()):
+                code, out = run_case(argv)
+                if code != 0:
+                    sys.exit(f"{name}: exit {code}")
+                with open(os.path.join(GOLDEN, f"{name}.json"), "w") as fh:
+                    fh.write(out)
+        finally:
+            os.chdir(here)

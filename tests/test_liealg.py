@@ -137,17 +137,23 @@ class TestLowerCentralSeries:
         assert chain[-1] == chain[-2]
 
 
+def dense_differential(g, k):
+    """Dense view of the sparse columns of d_k."""
+    return Matrix.from_sparse_columns(g.field, ce_differential(g, k),
+                                      math.comb(g.n, k + 1))
+
+
 class TestDifferential:
     def test_h7_degree_one_rank(self, h7):
-        assert rank(ce_differential(h7, 1)) == 3
+        assert rank(dense_differential(h7, 1)) == 3
 
     def test_abelian_zero(self, abelian6):
         for k in range(6):
-            assert ce_differential(abelian6, k).is_zero()
+            assert dense_differential(abelian6, k).is_zero()
 
     def test_leibniz_value(self, h7):
         # d(e^1 ^ e^6) = -e^1 ^ e^2 ^ e^3 under the fixed conventions
-        d2 = ce_differential(h7, 2)
+        d2 = dense_differential(h7, 2)
         b2, b3 = wedge_basis(6, 2), wedge_basis(6, 3)
         col = d2.column(b2.index((0, 5)))
         expected = {b3.index((0, 1, 2)): Fraction(-1)}
@@ -156,8 +162,8 @@ class TestDifferential:
 
     def test_d_squared_zero(self, h7):
         for k in range(5):
-            assert (ce_differential(h7, k + 1)
-                    * ce_differential(h7, k)).is_zero()
+            assert (dense_differential(h7, k + 1)
+                    * dense_differential(h7, k)).is_zero()
 
     def test_degree_out_of_range(self, h7):
         with pytest.raises(ValueError):
@@ -181,7 +187,7 @@ class TestBetti:
         oracle = []
         prev = 0
         for k in range(7):
-            r = rank_fraction_free(ce_differential(h7, k)) if k < 6 else 0
+            r = rank_fraction_free(dense_differential(h7, k)) if k < 6 else 0
             oracle.append(math.comb(6, k) - r - prev)
             prev = r
         assert b == oracle
@@ -287,7 +293,12 @@ def test_degree_zero_leibniz_extension(rows):
     B = Matrix(QQ, rows)
     images = [{(s,): B.rows[s][t] for s in range(m) if B.rows[s][t]}
               for t in range(m)]
-    assert _leibniz_matrix(QQ, m, images, 1, 1) == B
+
+    def dense(k, nrows):
+        return Matrix.from_sparse_columns(
+            QQ, _leibniz_matrix(QQ, m, images, k, k), nrows)
+
+    assert dense(1, m) == B
     trace = sum(B.rows[i][i] for i in range(m))
-    assert _leibniz_matrix(QQ, m, images, m, m) == Matrix(QQ, [[trace]])
-    assert _leibniz_matrix(QQ, m, images, 0, 0) == Matrix(QQ, [[0]])
+    assert dense(m, 1) == Matrix(QQ, [[trace]])
+    assert dense(0, 1) == Matrix(QQ, [[0]])

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from specseq_oracle import preimage_under
 
 from nilcohom.exact import (
     QQ,
     Matrix,
     Subspace,
+    complexify,
     invert,
     kernel_basis,
     rank,
     rank_fraction_free,
+    reduce_columns,
     rref,
 )
+from nilcohom.exact.linalg import add_multiple
 from nilcohom.exact.fields import QuadraticField
 
 
@@ -161,3 +166,64 @@ class TestSubspace:
 
 def test_invert_empty_matrix():
     assert invert(Matrix(QQ, [], ncols=0)) == Matrix(QQ, [], ncols=0)
+
+
+# ---------------------------------------------------------------------------
+# the column reduction against both dense eliminations
+
+K2 = QuadraticField(2)
+CQ = complexify(QQ)
+# field -> the element b is multiplied by in a + b * gen
+FIELD_GENS = {QQ: QQ.zero(), CQ: CQ.i(), K2: K2.gen()}
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(field, sparse columns, nrows, column weights, row weights):
+    entries a + b * gen, most of them zero, and some columns combinations
+    of two earlier ones so that ranks fall short."""
+    field = draw(st.sampled_from(list(FIELD_GENS)))
+    gen = FIELD_GENS[field]
+
+    def element():
+        return field.coerce(draw(small)) + gen * field.coerce(draw(small))
+
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cols = []
+    for j in range(ncols):
+        if j >= 2 and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+            col = {}
+            add_multiple(col, element(), cols[a])
+            add_multiple(col, element(), cols[b])
+        else:
+            col = {}
+            for i in range(nrows):
+                x = element() if draw(st.integers(0, 2)) == 0 else 0
+                if x:
+                    col[i] = x
+        cols.append(col)
+    wsrc = draw(st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols))
+    wtgt = draw(st.lists(st.integers(0, 2), min_size=nrows, max_size=nrows))
+    return field, cols, nrows, wsrc, wtgt
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_reduction_rank_matches_dense_eliminations(case):
+    field, cols, nrows, wsrc, wtgt = case
+    dense = Matrix.from_sparse_columns(field, cols, nrows)
+    expected = rank(dense)
+    assert rank_fraction_free(dense) == expected
+    unweighted = reduce_columns(field, cols, [0] * len(cols), [0] * nrows)[0]
+    assert len(unweighted) == expected
+    pivot_col, R, V = reduce_columns(field, cols, wsrc, wtgt)
+    assert len(pivot_col) == expected
+    # R = D V, column by column, and the input columns are left intact
+    for j in range(len(cols)):
+        image = {}
+        for t, x in V[j].items():
+            add_multiple(image, x, cols[t])
+        assert image == R[j]
+    assert Matrix.from_sparse_columns(field, cols, nrows) == dense

@@ -12,7 +12,8 @@ from nilcohom.cxstruct import (
     span_of_frame,
 )
 from nilcohom.errors import StructureError
-from nilcohom.exact import QQ, Matrix, Subspace, invert
+import nilcohom.exact.linalg as linalg
+from nilcohom.exact import QQ, Matrix, Subspace, invert, rank
 from nilcohom.liealg import (
     betti_numbers,
     commutator_ideal,
@@ -29,11 +30,16 @@ from nilcohom.specseq import (
 IWASAWA = "(0,0,0,0,13-24,14+23)"
 
 
+def columns(m):
+    """Sparse columns of a dense matrix."""
+    return [{i: x for i, x in enumerate(col) if x} for col in m.columns()]
+
+
 def two_term_complex(d_matrix):
     """0 -> Q^a -> Q^b -> 0 with the trivial filtration."""
     a, b = d_matrix.ncols, d_matrix.nrows
     dims = {0: a, 1: b}
-    d = {0: d_matrix}
+    d = {0: columns(d_matrix)}
     return FilteredComplex(QQ, dims, d, {0: [0] * a, 1: [0] * b})
 
 
@@ -44,6 +50,32 @@ def test_trivial_filtration_reproduces_cohomology():
     assert pg.e_inf_totals() == {0: 1, 1: 1}
     assert pg.page(1) == pg.e_inf
     assert fc.total_cohomology() == {0: 1, 1: 1}
+
+
+def test_total_cohomology_ranks_each_differential_once(monkeypatch, h7,
+                                                      j0):
+    fc = bigraded_filtered_complex(j0)
+    ranked = []
+
+    def counting_rank(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(specseq, "rank", counting_rank)
+    assert fc.total_cohomology() == dict(enumerate(betti_numbers(h7)))
+    assert len(ranked) == len(fc.d) == 7
+
+
+def test_total_cohomology_survives_a_broken_reduction(monkeypatch, h7, j0):
+    fc = bigraded_filtered_complex(j0)
+    b = betti_numbers(h7)
+
+    def refuse(*args):
+        raise AssertionError("column reduction called by total_cohomology")
+
+    for module in (linalg, specseq):
+        monkeypatch.setattr(module, "reduce_columns", refuse)
+    assert fc.total_cohomology() == dict(enumerate(b))
 
 
 def test_two_step_filtration_zero_differential():
@@ -61,12 +93,12 @@ def test_filtration_violation_witnessed():
     # F^1 C^0 = span(e2) maps to span(e1), which is not inside F^1 C^1
     weights = {0: [0, 1], 1: [0, 1]}
     with pytest.raises(StructureError) as exc:
-        FilteredComplex(QQ, dims, {0: d}, weights)
+        FilteredComplex(QQ, dims, {0: columns(d)}, weights)
     assert exc.value.witness == (0, 1)
 
 
 def test_nonzero_d_squared_rejected():
-    d = {0: Matrix(QQ, [[1]]), 1: Matrix(QQ, [[1]])}
+    d = {0: columns(Matrix(QQ, [[1]])), 1: columns(Matrix(QQ, [[1]]))}
     with pytest.raises(StructureError, match="d o d"):
         FilteredComplex(QQ, {0: 1, 1: 1, 2: 1}, d,
                         {0: [0], 1: [0], 2: [0]})
@@ -289,7 +321,7 @@ def filtered_complexes(draw):
         T_inv = {k: invert(t) for k, t in T.items()}
     except ValueError:
         assume(False)
-    d = {k: T[k + 1] * Matrix(QQ, d0[k], ncols=dims[k]) * T_inv[k]
+    d = {k: columns(T[k + 1] * Matrix(QQ, d0[k], ncols=dims[k]) * T_inv[k])
          for k in range(ndeg - 1)}
     return FilteredComplex(QQ, dict(enumerate(dims)), d, weights)
 
