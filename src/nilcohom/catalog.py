@@ -182,18 +182,11 @@ def parse_number_override(text):
     return {"type": "rational", "value": text}
 
 
-class LatticeData:
-    def __init__(self, qstructure, algebra, field, param_spec):
-        self.qstructure = qstructure
-        self.algebra = algebra
-        self.field = field
-        self.param_spec = param_spec
-
-
 @input_errors_as_parse_error("lattice document")
-def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> LatticeData:
-    """Build a rational structure over the declared tower field, with
-    optional parameter substitutions from the command line."""
+def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> QStructure:
+    """The rational structure of a lattice document: generators over
+    the tower of its number declarations, with optional parameter
+    substitutions from the command line.  ``g`` keeps its own field."""
     overrides = overrides or {}
     numbers = dict(doc.get("numbers", {}))
     for name, text in overrides.items():
@@ -212,11 +205,10 @@ def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> LatticeData:
                 raise ParseError("lattice entries must be real")
             vec.append(val.re)
         gens.append(vec)
-    g2 = g.extend_field(field) if field != g.field else g
-    return LatticeData(QStructure(g2, gens), g2, field, bindings.get((0, 1)))
+    return QStructure(g, field, gens, bindings.get((0, 1)))
 
 
-def load_lattice_file(path, g: LieAlgebra, overrides=None) -> LatticeData:
+def load_lattice_file(path, g: LieAlgebra, overrides=None) -> QStructure:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -282,17 +282,14 @@ def cmd_verify_theorem(args) -> int:
         if entry is None or lat_name not in entry.lattices:
             raise ParseError(f"no builtin lattice {lat_name!r} for this "
                              "algebra")
-        data = lattice_from_document(entry.lattices[lat_name], g, overrides)
+        L = lattice_from_document(entry.lattices[lat_name], g, overrides)
     else:
-        data = load_lattice_file(args.lattice, g, overrides)
-    g2 = data.algebra
-    J = resolve_complex_structure(g2, args.J)
-    f = _parse_basis_arg(args.ideal, g2.field, g2.n)
-    f0 = _parse_basis_arg(args.f0, g2.field, g2.n)
+        L = load_lattice_file(args.lattice, g, overrides)
+    J = resolve_complex_structure(g, args.J)
+    f = _parse_basis_arg(args.ideal, g.field, g.n)
+    f0 = _parse_basis_arg(args.f0, g.field, g.n)
     g0 = _parse_frame_arg(J, args.g0)
-    report = conjecture_status(g2, J, data.qstructure, f, f0, g0,
-                               param_spec=data.param_spec,
-                               scan_bound=scan)
+    report = conjecture_status(g, J, L, f, f0, g0, scan_bound=scan)
     results = {
         "checklist": [{"item": name, "status": status, "detail": detail}
                       for name, status, detail in report.items],

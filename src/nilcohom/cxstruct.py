@@ -449,14 +449,14 @@ class ConjectureReport:
 
 def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
                       f: Subspace, f0: Subspace, g0_01: Subspace,
-                      param_spec=None, scan_bound: int = 1000):
+                      scan_bound: int = 1000):
     """Run the full hypothesis checklist: invariant abelian ideal,
     abelian quotient, diagram exactness, lattice rationality of the
     ideal, and the toroidal classification of the leaf.
 
     Unknown subcases are reported as undetermined, never guessed.
     """
-    from .liealg import is_gamma_rational, rational_intersection
+    from .liealg import rational_intersection
     from .toroidal import leaf_analysis
 
     items = []
@@ -491,8 +491,8 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
         return ConjectureReport(items, f"{VERDICT_NOT_APPLICABLE}: "
                                 "diagram is not exact")
 
-    rational = is_gamma_rational(L, f)
     dim_int, _, _ = rational_intersection(L, f)
+    rational = dim_int == f.dim
     items.append(("f Gamma-rational", "pass" if rational else "info",
                   f"rational points span dimension {dim_int} of {f.dim}"))
     if rational:
@@ -502,8 +502,7 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
                 "non-torus base; base conjecture assumed, not certified")
         return ConjectureReport(items, VERDICT_FIBRATION)
 
-    leaf = leaf_analysis(g, J, L, f, param_spec=param_spec,
-                         scan_bound=scan_bound)
+    leaf = leaf_analysis(g, J, L, f, scan_bound=scan_bound)
     items.append(("leaf classification", "info", leaf.classification))
     if leaf.classification.startswith("toroidal"):
         if not quotient_abelian:

@@ -84,7 +84,8 @@ class Matrix:
             raise ValueError("dimension mismatch")
         vec = [self.field.coerce(x) for x in vec]
         zero = self.field.zero()
-        return tuple(sum((r[j] * vec[j] for j in range(self.ncols)), zero)
+        return tuple(sum((r[j] * vec[j] for j in range(self.ncols)
+                          if r[j] and vec[j]), zero)
                      for r in self.rows)
 
     def __mul__(self, other):

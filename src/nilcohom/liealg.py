@@ -173,8 +173,7 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, x, y):
-        x = [self.field.coerce(v) for v in x]
-        y = [self.field.coerce(v) for v in y]
+        """[x, y] for vectors over the field or a tower above it."""
         out = [self.field.zero()] * self.n
         for (i, j), comps in self.c.items():
             f = x[i] * y[j] - x[j] * y[i]
@@ -516,12 +515,17 @@ def is_abelian_subspace(g: LieAlgebra, W: Subspace) -> bool:
 
 
 class QStructure:
-    """A rational structure: n independent generators whose Z-span is
-    the lattice log and whose Q-span is the rational form."""
+    """A rational structure: n independent generators, over the tower
+    ``field`` of the lattice's number declarations, whose Z-span is the
+    lattice log and whose Q-span is the rational form.  ``ambient``
+    keeps its own field; ``param_spec`` is the number bound to the
+    tower's parameter (None when formal or absent)."""
 
-    def __init__(self, ambient: LieAlgebra, generators):
+    def __init__(self, ambient: LieAlgebra, field, generators,
+                 param_spec=None):
         self.ambient = ambient
-        field = ambient.field
+        self.field = field
+        self.param_spec = param_spec
         gens = [tuple(field.coerce(x) for x in v) for v in generators]
         if len(gens) != ambient.n:
             raise ValueError(
@@ -531,12 +535,25 @@ class QStructure:
         if rank(m) != ambient.n:
             raise StructureError("lattice generators are linearly dependent")
         self.generators = tuple(gens)
-        self._gen_matrix = m
-        self._gen_inverse = invert(m)
+        self.bracket_coords = self._bracket_coordinates(invert(m))
 
-    def coords(self, vec):
-        """Coordinates of an ambient vector in the generator basis."""
-        return self._gen_inverse.apply(vec)
+    def _bracket_coordinates(self, inverse):
+        """(i, j) -> rational coordinates of [v_i, v_j] in the generator
+        basis (``inverse`` maps to it), 1-based.  A pair whose bracket
+        leaves the Q-span raises StructureError: no lattice has such a
+        span (Malcev)."""
+        out = {}
+        for i, j in combinations(range(self.ambient.n), 2):
+            w = self.ambient.bracket(self.generators[i], self.generators[j])
+            cs = tuple(_rational_value(c, self.field)
+                       for c in inverse.apply(w))
+            if None in cs:
+                raise StructureError(
+                    f"bracket of lattice generators {(i + 1, j + 1)} leaves "
+                    "the rational span of the generators: no lattice has "
+                    "this rational structure", witness=(i + 1, j + 1))
+            out[(i + 1, j + 1)] = cs
+        return out
 
     def __repr__(self):
         return f"QStructure(n={self.ambient.n})"
@@ -554,34 +571,33 @@ class SubringReport:
                 f"doubly_divisible={self.doubly_divisible})")
 
 
-def _rational_integer(x, field):
-    """The plain integer a field element equals, or None."""
-    labels = field.q_labels(x)
+def _rational_value(x, field):
+    """The rational number a field element equals, or None."""
+    try:
+        labels = field.q_labels(x)
+    except ValueError:  # a parameter left in a denominator
+        return None
     if not labels:
-        return 0
+        return Fraction(0)
     if set(labels) != {(0, 0)}:
         return None
-    q = labels[(0, 0)]
-    return int(q) if q.denominator == 1 else None
+    return labels[(0, 0)]
 
 
 def is_lie_subring(L: QStructure) -> SubringReport:
     """Whether all generator brackets lie in the Z-span, with the
     companion report on divisibility by 2 (the closure condition for
     the degree-2 group law x + y + [x,y]/2)."""
-    g, field = L.ambient, L.ambient.field
     coords = {}
     failures = []
     doubly = True
-    for i, j in combinations(range(len(L.generators)), 2):
-        w = g.bracket(L.generators[i], L.generators[j])
-        cs = L.coords(w)
-        ints = [_rational_integer(c, field) for c in cs]
-        if any(v is None for v in ints):
-            failures.append((i + 1, j + 1, cs))
+    for (i, j), cs in L.bracket_coords.items():
+        if any(c.denominator != 1 for c in cs):
+            failures.append((i, j, cs))
             doubly = False
             continue
-        coords[(i + 1, j + 1)] = tuple(ints)
+        ints = tuple(int(c) for c in cs)
+        coords[(i, j)] = ints
         if any(v % 2 for v in ints):
             doubly = False
     return SubringReport(not failures, doubly and not failures,
@@ -590,27 +606,26 @@ def is_lie_subring(L: QStructure) -> SubringReport:
 
 def _rational_constraint_rows(L: QStructure, W: Subspace):
     """Rational rows cutting out {r in Q^n : sum r_i v_i in W}."""
-    field = L.ambient.field
+    field = L.field
     ann = W.annihilator()
     rows = []
     for f in ann.basis:
-        pairing = [sum((fi * vi for fi, vi in zip(f, v)), field.zero())
+        pairing = [field.q_labels(sum((fi * vi for fi, vi in zip(f, v)
+                                       if fi), field.zero()))
                    for v in L.generators]
-        labels = sorted({lab for x in pairing for lab in field.q_labels(x)})
-        for lab in labels:
-            rows.append([field.q_labels(x).get(lab, Fraction(0))
-                         for x in pairing])
+        labels = sorted({lab for x in pairing for lab in x})
+        rows.extend([x.get(lab, Fraction(0)) for x in pairing]
+                    for lab in labels)
     return rows
 
 
 def rational_intersection(L: QStructure, W: Subspace):
     """Dimension and basis of (Q-span of the generators) meet W, solved
-    over the ambient field with formal parameters kept formal.
+    over the lattice's field with formal parameters kept formal.
 
-    Returns (dim, coefficient vectors, Subspace spanned inside the
-    ambient).
+    Returns (dim, coefficient vectors, Subspace over ``L.field``).
     """
-    field = L.ambient.field
+    field = L.field
     n = L.ambient.n
     rows = _rational_constraint_rows(L, W)
     if rows:
@@ -638,7 +653,7 @@ def lattice_intersection(L: QStructure, W: Subspace):
     """Z-basis of {x in Z-span(generators) : x in W}, canonical
     (Hermite-reduced coefficient rows).
 
-    Returns (integer coefficient rows, ambient vectors).
+    Returns (integer coefficient rows, vectors over ``L.field``).
     """
     rows = _rational_constraint_rows(L, W)
     n = L.ambient.n
@@ -648,7 +663,7 @@ def lattice_intersection(L: QStructure, W: Subspace):
     else:
         coeffs = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = hermite_row(coeffs)
-    field = L.ambient.field
+    field = L.field
     vectors = []
     for r in coeffs:
         v = [field.zero()] * n

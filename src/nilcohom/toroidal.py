@@ -762,12 +762,9 @@ def _try_certify_quadratic(R: Matrix, ev: _Evaluator, cutoff: int):
     M = beta.liouville_constant()
     radius = Fraction(max(3, M))
     # direct confirmation on small witnesses, in exact arithmetic
-    qd = QuadraticField(d)
     beta_exact = QuadSurd(c0, c1, d)
     for s in range(1, cutoff + 1):
-        val = beta_exact * s
-        dist = _qsurd_dist_to_z(val, qd)
-        if not _qsurd_ge_fraction(dist, radius ** (-s), qd):
+        if (_qsurd_dist_to_z(beta_exact * s) - radius ** (-s)).sign() < 0:
             return None
     cert = {
         "column": j + 1,
@@ -778,30 +775,24 @@ def _try_certify_quadratic(R: Matrix, ev: _Evaluator, cutoff: int):
     return ThetaCertified(radius, cert)
 
 
-def _qsurd_floor(x: QuadSurd, qd: QuadraticField) -> int:
-    if x.v == 0:
-        return math.floor(x.u)
-    spec = QuadraticSurd(1, 0, -qd.d, "plus")
-    width = Fraction(1, 4)
-    for _ in range(200):
-        lo, hi = spec.enclosure(width)
-        xlo = x.u + x.v * (lo if x.v > 0 else hi)
-        xhi = x.u + x.v * (hi if x.v > 0 else lo)
-        if math.floor(xlo) == math.floor(xhi):
-            return math.floor(xlo)
-        width /= 16
-    raise PrecisionUnavailable("floor of quadratic surd did not resolve")
+def _qsurd_floor(x: QuadSurd) -> int:
+    """Exact floor of u + v sqrt d: the candidate floor(u) +- floor(|v|
+    sqrt d) is off by at most one, and the exact sign of x - k settles
+    it."""
+    w = x.v * x.v * x.d
+    r = math.isqrt(w.numerator * w.denominator) // w.denominator
+    k = math.floor(x.u) + (r if x.v >= 0 else -r)
+    while (x - k).sign() < 0:
+        k -= 1
+    while (x - (k + 1)).sign() >= 0:
+        k += 1
+    return k
 
 
-def _qsurd_dist_to_z(x: QuadSurd, qd: QuadraticField) -> QuadSurd:
-    fl = _qsurd_floor(x, qd)
-    frac = x - fl
+def _qsurd_dist_to_z(x: QuadSurd) -> QuadSurd:
+    frac = x - _qsurd_floor(x)
     other = -(frac - 1)
     return frac if (frac - other).sign() < 0 else other
-
-
-def _qsurd_ge_fraction(x: QuadSurd, c: Fraction, qd) -> bool:
-    return (x - c).sign() >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -838,20 +829,19 @@ class LeafAnalysis:
         return f"LeafAnalysis({self.classification!r})"
 
 
-def complex_coordinates_on(J, f: Subspace):
+def complex_coordinates_on(J, f: Subspace, field):
     """A complex coordinate map on a J-invariant subspace: greedy basis
-    pairs (b, Jb), vectors mapped to tuples x + i y of the pair
-    coordinates."""
+    pairs (b, Jb), vectors over ``field`` (a tower over J's field)
+    mapped to tuples x + i y of the pair coordinates."""
     g = J.ambient
-    field = g.field
     pairs = []
-    span = Subspace.zero(field, g.n)
+    span = Subspace.zero(g.field, g.n)
     for v in f.basis:
         if span.contains(v):
             continue
         jv = J.apply(v)
         pairs.append((v, jv))
-        span = span.sum_(Subspace(field, g.n, [list(v), list(jv)]))
+        span = span.sum_(Subspace(g.field, g.n, [list(v), list(jv)]))
     cols = []
     for v, jv in pairs:
         cols.append(list(v))
@@ -870,12 +860,13 @@ def complex_coordinates_on(J, f: Subspace):
     return coords, len(pairs)
 
 
-def leaf_analysis(g, J, L, f: Subspace, param_spec=None,
-                  scan_bound=None) -> LeafAnalysis:
+def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
     """Compute the leaf lattice inside an abelian J-invariant ideal,
     emit its period data in the complex coordinates induced by J, and
     classify: compact torus (fibration), toroidal theta/wild, or a
-    leaf with extra flat factors."""
+    leaf with extra flat factors.  The period data live over the
+    lattice's field ``L.field``, its parameter bound to
+    ``L.param_spec``."""
     from .cxstruct import is_j_invariant
     from .liealg import is_abelian_subspace, is_ideal, lattice_intersection
 
@@ -886,12 +877,11 @@ def leaf_analysis(g, J, L, f: Subspace, param_spec=None,
     if not is_abelian_subspace(g, f):
         raise StructureError("ideal is not abelian")
     coeffs, vectors = lattice_intersection(L, f)
-    coords, nf2 = complex_coordinates_on(J, f)
+    coords, nf2 = complex_coordinates_on(J, f, L.field)
     gens = [coords(v) for v in vectors]
-    bindings = {}
-    if param_spec is not None:
-        bindings[(0, 1)] = param_spec
-    pd = PeriodData(g.field, nf2, gens, bindings)
+    spec = L.param_spec
+    pd = PeriodData(L.field, nf2, gens,
+                    {} if spec is None else {(0, 1): spec})
     if len(vectors) == f.dim:
         return LeafAnalysis(coeffs, vectors, pd, None, None,
                             "compact torus")
@@ -900,7 +890,7 @@ def leaf_analysis(g, J, L, f: Subspace, param_spec=None,
         return LeafAnalysis(
             coeffs, vectors, pd, rm, None,
             f"leaf with flat factors (a={rm.a}, b={rm.b})")
-    source = param_spec if isinstance(param_spec, ConvergentSeries) else None
+    source = spec if isinstance(spec, ConvergentSeries) else None
     theta = theta_classify(rm.normal_form.R, pd.bindings,
                            scan_bound=scan_bound,
                            convergent_source=source)

@@ -1,7 +1,7 @@
 import pytest
 
 from nilcohom.cxstruct import AlmostComplexStructure, hodge_table
-from nilcohom.exact import Subspace, build_field
+from nilcohom.exact import QQ, Subspace, build_field
 from nilcohom.exact.fields import QuadraticField, substitute_parameter
 from nilcohom.liealg import QStructure, parse_structure_equations
 
@@ -59,23 +59,21 @@ def formal_field():
 
 @pytest.fixture(scope="session")
 def example_case(h7, formal_field):
-    """(algebra over Q(sqrt2)(a), lattice, f, f0) with formal a."""
+    """(h7 over Q, lattice over Q(sqrt2)(a), f, f0) with formal a."""
     K = formal_field
-    g = h7.extend_field(K)
-    L = QStructure(g, example_lattice_generators(K))
-    f = Subspace(K, 6, F_BASIS)
-    f0 = Subspace(K, 6, F0_BASIS)
-    return g, L, f, f0
+    L = QStructure(h7, K, example_lattice_generators(K))
+    f = Subspace(QQ, 6, F_BASIS)
+    f0 = Subspace(QQ, 6, F0_BASIS)
+    return h7, L, f, f0
 
 
 def substituted_case(h7, value):
     """Same data with a := value, an element of Q(sqrt2)."""
     K = build_field(2, "a")
     K2 = QuadraticField(2)
-    g = h7.extend_field(K2)
     gens = [tuple(substitute_parameter(x, K, K2, K2.coerce(value)) for x in v)
             for v in example_lattice_generators(K)]
-    L = QStructure(g, gens)
-    f = Subspace(K2, 6, F_BASIS)
-    f0 = Subspace(K2, 6, F0_BASIS)
-    return g, L, f, f0
+    L = QStructure(h7, K2, gens)
+    f = Subspace(QQ, 6, F_BASIS)
+    f0 = Subspace(QQ, 6, F0_BASIS)
+    return h7, L, f, f0

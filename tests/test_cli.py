@@ -7,6 +7,7 @@ import pytest
 
 import nilcohom.cxstruct as cxstruct
 from nilcohom.cli import main
+from nilcohom.exact import QQ
 
 LEAF_DOC = """{
   "dimension": 2,
@@ -153,6 +154,42 @@ def test_verify_theorem_torus(capsys, tmp_path):
                          "--g0", "Xbar1,Xbar2,Xbar3")
     assert code == 0
     assert "torus (conjecture known)" in out
+
+
+def test_lattice_not_closed_under_bracket_exit_3(capsys, tmp_path):
+    # [e1, sqrt2 e2] = -sqrt2 e4 is not in the Q-span of e1, sqrt2 e2,
+    # e3, ..., e6, so no lattice has this rational structure (Malcev)
+    lattice = tmp_path / "lat.json"
+    rows = [["1" if j == i else "0" for j in range(6)] for i in range(6)]
+    rows[1][1] = "r2"
+    lattice.write_text(json.dumps({
+        "numbers": {"r2": {"type": "sqrt", "d": 2}}, "generators": rows}))
+    code, out, err = run(capsys, "verify-theorem", "h7", "--J", "std",
+                         "--lattice", str(lattice),
+                         "--ideal", "e3,e4,e5,e6", "--f0", "e5,e6",
+                         "--g0", "Xbar1,Xbar3")
+    assert code == 3
+    assert out == ""
+    assert "(1, 2)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("param", [[], ["--param", "a=sqrt:8"],
+                                   ["--param", "a=power-tower:2,4"]])
+def test_verify_theorem_splits_over_the_algebra_field(capsys, monkeypatch,
+                                                      param):
+    # only the lattice and the leaf carry the number field of example-a
+    fields = []
+    real = cxstruct.pq_splitting
+
+    def recording(J):
+        fields.append(J.ambient.field)
+        return real(J)
+
+    monkeypatch.setattr(cxstruct, "pq_splitting", recording)
+    code, out, err = run(capsys, *VERIFY_ARGS, *param)
+    assert code == 0
+    assert fields == [QQ]
 
 
 def test_catalog_run_all(capsys):

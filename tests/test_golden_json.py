@@ -47,6 +47,9 @@ CASES = {
     "verify_h7": VERIFY_H7,
     "verify_h7_third": VERIFY_H7 + ["--param", "a=1/3"],
     "verify_h7_sqrt8": VERIFY_H7 + ["--param", "a=sqrt:8"],
+    "verify_h7_power_tower": VERIFY_H7 + ["--param", "a=power-tower:2,4"],
+    "verify_h7_quadratic": VERIFY_H7 + ["--param", "a=quadratic:1,0,-8"],
+    "verify_h7_bad_g0": VERIFY_H7[:-1] + ["Xbar1,Xbar2"],
     **{f"toroidal_{name}": ["toroidal", f"period_{name}.json"]
        for name in PERIOD_NUMBERS},
 }

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import substituted_case
 from nilcohom.errors import ParseError, StructureError
 from nilcohom.exact import QQ, Matrix, Subspace, rank
+from nilcohom.exact.fields import QuadraticField
 from nilcohom.liealg import (
     LieAlgebra,
     QStructure,
@@ -233,7 +234,7 @@ class TestQStructure:
         assert rep.coords[(1, 3)] == (0, 0, 0, 0, -2, 0)  # [v1,v3] = -2 v5
 
     def test_standard_basis_is_subring(self, h7):
-        L = QStructure(h7, [h7.basis_vector(i) for i in range(6)])
+        L = QStructure(h7, QQ, [h7.basis_vector(i) for i in range(6)])
         rep = is_lie_subring(L)
         assert rep.is_subring
         assert not rep.doubly_divisible  # [e1,e2] = -e4 is odd
@@ -241,7 +242,7 @@ class TestQStructure:
     def test_half_generator_fails(self, h7):
         gens = [[Fraction(1, 2), 0, 0, 0, 0, 0]]
         gens += [h7.basis_vector(i) for i in range(1, 6)]
-        rep = is_lie_subring(QStructure(h7, gens))
+        rep = is_lie_subring(QStructure(h7, QQ, gens))
         assert not rep.is_subring
         assert rep.failures[0][:2] == (1, 2)
 
@@ -249,7 +250,15 @@ class TestQStructure:
         gens = [h7.basis_vector(0)] * 2
         gens += [h7.basis_vector(i) for i in range(2, 6)]
         with pytest.raises(StructureError):
-            QStructure(h7, gens)
+            QStructure(h7, QQ, gens)
+
+    def test_span_not_closed_under_bracket_rejected(self, h7):
+        K = QuadraticField(2)
+        gens = [h7.basis_vector(i) for i in range(6)]
+        gens[1] = (0, K.gen(), 0, 0, 0, 0)
+        with pytest.raises(StructureError) as exc:
+            QStructure(h7, K, gens)
+        assert exc.value.witness == (1, 2)
 
     def test_rational_intersection_formal(self, example_case):
         g, L, f, f0 = example_case
@@ -276,7 +285,7 @@ class TestQStructure:
         assert rows == [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
                         [0, 0, 0, 0, 0, 1]]
         for v in vectors:
-            assert f.contains(v)
+            assert Subspace(L.field, 6, f.basis).contains(v)
 
 
 square_matrices = st.integers(1, 5).flatmap(lambda m: st.lists(

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import substituted_case
 from nilcohom.cxstruct import AlmostComplexStructure
@@ -10,13 +13,14 @@ from nilcohom.errors import (
     UnsupportedError,
 )
 from nilcohom.exact import QQ, Matrix, build_field
-from nilcohom.exact.fields import QuadraticField
+from nilcohom.exact.fields import QuadraticField, QuadSurd
 from nilcohom.exact.numbers import (
     QuadraticSurd,
     liouville_decimal,
     power_tower,
 )
 from nilcohom.toroidal import (
+    _qsurd_floor,
     NotToroidal,
     PeriodData,
     ThetaCertified,
@@ -329,3 +333,43 @@ class TestPeriodDocuments:
         source = pd.bindings[(0, 1)]
         v = theta_classify(nf.R, pd.bindings, convergent_source=source)
         assert isinstance(v, WildEvidence)
+
+
+def enclosure_floor(x, rounds=12):
+    """The floor of u + v sqrt d that a bisected enclosure of sqrt d
+    settles within ``rounds`` refinements, or None."""
+    if x.v == 0:
+        return math.floor(x.u)
+    spec = QuadraticSurd(1, 0, -x.d, "plus")
+    width = Fraction(1, 4)
+    for _ in range(rounds):
+        lo, hi = spec.enclosure(width)
+        xlo = x.u + x.v * (lo if x.v > 0 else hi)
+        xhi = x.u + x.v * (hi if x.v > 0 else lo)
+        if math.floor(xlo) == math.floor(xhi):
+            return math.floor(xlo)
+        width /= 16
+    return None
+
+
+fractions_ = st.fractions(min_value=-10**6, max_value=10**6,
+                          max_denominator=10**4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fractions_, fractions_, st.sampled_from([2, 3, 5, 6, 7, 10, 11, 101]))
+def test_qsurd_floor_is_exact(u, v, d):
+    x = QuadSurd(u, v, d)
+    k = _qsurd_floor(x)
+    assert (x - k).sign() >= 0
+    assert (x - (k + 1)).sign() < 0
+    settled = enclosure_floor(x)
+    if settled is not None:
+        assert k == settled
+
+
+def test_qsurd_floor_near_an_integer():
+    # 1 + 70 sqrt 2 = 99.9949..., 99 sqrt 2 - 140 = 0.0071...
+    assert _qsurd_floor(QuadSurd(1, 70, 2)) == 99
+    assert _qsurd_floor(QuadSurd(-140, 99, 2)) == 0
+    assert _qsurd_floor(QuadSurd(140, -99, 2)) == -1
