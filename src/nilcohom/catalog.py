@@ -33,8 +33,13 @@ from .errors import (
     input_errors_as_parse_error,
 )
 from .exact.linalg import Matrix
+from .exact.numbers import QuadraticSurd, convergent_family
 from .liealg import LieAlgebra, QStructure, parse_structure_equations
-from .toroidal import _parse_entry_expr, number_declarations
+from .toroidal import (
+    _parse_entry_expr,
+    number_declarations,
+    number_spec_from_document,
+)
 
 
 class CatalogEntry:
@@ -158,28 +163,20 @@ def resolve_complex_structure(g: LieAlgebra, spec) -> AlmostComplexStructure:
 @input_errors_as_parse_error("--param value")
 def parse_number_override(text):
     """CLI value specs: '1/2', 'sqrt:2', 'quadratic:A,B,C[,root]',
-    'formal', 'liouville10', 'power-tower[:base,start]'."""
+    'formal', 'liouville10', 'power-tower[:base,start]'; read into the
+    values of :func:`number_spec_from_document`."""
     text = text.strip()
     if text == "formal":
-        return {"type": "formal"}
+        return None
     if text.startswith("sqrt:"):
-        return {"type": "sqrt", "d": int(text[5:])}
+        return QuadraticSurd(1, 0, -int(text[5:]), "plus")
     if text.startswith("quadratic:"):
         parts = text[len("quadratic:"):].split(",")
-        doc = {"type": "quadratic", "poly": [int(x) for x in parts[:3]]}
-        if len(parts) > 3:
-            doc["root"] = parts[3]
-        return doc
+        A, B, C = (int(x) for x in parts[:3])
+        return QuadraticSurd(A, B, C, parts[3] if len(parts) > 3 else "plus")
     if text == "liouville10" or text.startswith("power-tower"):
-        doc = {"type": "convergents", "family": text}
-        if ":" in text:
-            fam, args = text.split(":", 1)
-            parts = [int(x) for x in args.split(",")]
-            doc = {"type": "convergents", "family": fam,
-                   "base": parts[0],
-                   "start": parts[1] if len(parts) > 1 else parts[0] ** 2}
-        return doc
-    return {"type": "rational", "value": text}
+        return convergent_family(text)
+    return Fraction(text)
 
 
 @input_errors_as_parse_error("lattice document")
@@ -188,12 +185,14 @@ def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> QStructure:
     the tower of its number declarations, with optional parameter
     substitutions from the command line.  ``g`` keeps its own field."""
     overrides = overrides or {}
-    numbers = dict(doc.get("numbers", {}))
-    for name, text in overrides.items():
-        if name not in numbers:
+    declared = doc.get("numbers", {})
+    for name in overrides:
+        if name not in declared:
             raise ParseError(f"no declared number {name!r} to substitute")
-        numbers[name] = parse_number_override(text)
-    field, cfield, symbols, bindings = number_declarations(numbers)
+    numbers = {name: parse_number_override(overrides[name])
+               if name in overrides else number_spec_from_document(number)
+               for name, number in declared.items()}
+    field, cfield, symbols, param_spec = number_declarations(numbers)
     gens = []
     for row in doc["generators"]:
         if len(row) != g.n:
@@ -205,7 +204,7 @@ def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> QStructure:
                 raise ParseError("lattice entries must be real")
             vec.append(val.re)
         gens.append(vec)
-    return QStructure(g, field, gens, bindings.get((0, 1)))
+    return QStructure(g, field, gens, param_spec)
 
 
 def load_lattice_file(path, g: LieAlgebra, overrides=None) -> QStructure:

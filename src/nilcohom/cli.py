@@ -48,7 +48,7 @@ from .errors import (
     input_errors_as_parse_error,
 )
 from .exact.linalg import Subspace
-from .exact.numbers import ConvergentSeries, convergent_family
+from .exact.numbers import convergent_family
 from .liealg import (
     betti_numbers,
     check_letter_count,
@@ -231,13 +231,9 @@ def cmd_toroidal(args) -> int:
         f"splitting: C^{rm.a} x (C*)^{rm.b} x "
         + (f"toroidal(dim {rm.toroidal.n})" if rm.toroidal else "(nothing)"),
     ]
-    source = None
-    binding = pd.bindings.get((0, 1))
-    if isinstance(binding, ConvergentSeries):
-        source = binding
-    if args.convergents:
-        source = convergent_family(args.convergents)
-    verdict = theta_classify(nf.R, pd.bindings, scan_bound=scan,
+    source = (convergent_family(args.convergents) if args.convergents
+              else None)
+    verdict = theta_classify(nf.R, pd.param_spec, scan_bound=scan,
                              convergent_source=source)
     results["verdict"] = _verdict_payload(verdict)
     lines.append(f"verdict: {verdict!r}")

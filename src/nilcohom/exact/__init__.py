@@ -36,7 +36,6 @@ from .linalg import (
 )
 from .numbers import (
     ConvergentSeries,
-    ExactRational,
     ExponentPair,
     NumberSpec,
     QuadraticSurd,
@@ -53,7 +52,7 @@ __all__ = [
     "smith_diagonal", "smith_normal_form",
     "Matrix", "Subspace", "invert", "kernel_basis", "rank",
     "rank_fraction_free", "reduce_columns", "rref", "solve",
-    "ConvergentSeries", "ExactRational", "ExponentPair", "NumberSpec",
+    "ConvergentSeries", "ExponentPair", "NumberSpec",
     "QuadraticSurd", "convergent_family", "liouville_decimal",
     "power_tower",
 ]

@@ -1,5 +1,5 @@
-"""Certified real numbers: exact rationals, quadratic surds, and
-series given by certified convergents.
+"""Certified real numbers: quadratic surds and series given by
+certified convergents.
 
 Every number exposes ``enclosure(width)`` returning a rational interval
 of at most the requested width that provably contains the value; nested
@@ -170,26 +170,6 @@ class NumberSpec:
 
     def _enclosure(self, width):
         raise NotImplementedError
-
-    def is_rational(self) -> bool:
-        return False
-
-
-class ExactRational(NumberSpec):
-    kind = "rational"
-
-    def __init__(self, value):
-        super().__init__()
-        self.value = Fraction(value)
-
-    def _enclosure(self, width):
-        return self.value, self.value
-
-    def is_rational(self) -> bool:
-        return True
-
-    def __repr__(self):
-        return f"ExactRational({self.value})"
 
 
 class QuadraticSurd(NumberSpec):

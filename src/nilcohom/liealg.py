@@ -35,7 +35,6 @@ from .exact.linalg import (
     add_multiple,
     invert,
     kernel_basis,
-    rank,
     reduce_columns,
 )
 
@@ -532,10 +531,13 @@ class QStructure:
                 f"need {ambient.n} generators, got {len(gens)}")
         m = Matrix.from_columns(field, [list(v) for v in gens],
                                 nrows=ambient.n)
-        if rank(m) != ambient.n:
-            raise StructureError("lattice generators are linearly dependent")
+        try:
+            inverse = invert(m)
+        except ValueError:
+            raise StructureError(
+                "lattice generators are linearly dependent") from None
         self.generators = tuple(gens)
-        self.bracket_coords = self._bracket_coordinates(invert(m))
+        self.bracket_coords = self._bracket_coordinates(inverse)
 
     def _bracket_coordinates(self, inverse):
         """(i, j) -> rational coordinates of [v_i, v_j] in the generator

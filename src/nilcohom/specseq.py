@@ -148,10 +148,11 @@ class SpectralPages:
                 f"E_inf={self.table(len(self.pages) - 1)})")
 
 
-def pages(fc: FilteredComplex, keep_bases_up_to: int = 2) -> SpectralPages:
+def pages(fc: FilteredComplex) -> SpectralPages:
     """All pages of the spectral sequence of a filtered complex,
     iterated until the differentials vanish on two consecutive pages
     past the filtration length."""
+    keep_bases_up_to = 2    # pages whose representatives are kept
     zero = fc.field.zero()
     degrees = fc.degrees
     pmax = fc.plevels
@@ -386,7 +387,7 @@ def hochschild_serre(g: LieAlgebra, J, sub_labels_or_space, p: int = 0,
     """
     if J is not None:
         split = J.splitting
-        alg = g.extend_field(split.field)
+        alg = split.algebra
         if ambient_space is None:
             ambient_space = split.xbar_span
     else:

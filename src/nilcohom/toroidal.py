@@ -72,13 +72,7 @@ from .exact.intlattice import (
     rational_rows_to_integer,
 )
 from .exact.linalg import Matrix, Subspace, invert, rank, solve
-from .exact.numbers import (
-    ConvergentSeries,
-    ExactRational,
-    NumberSpec,
-    QuadraticSurd,
-    convergent_family,
-)
+from .exact.numbers import QuadraticSurd, convergent_family
 
 DEFAULT_SCAN_BOUND = 1000
 
@@ -89,10 +83,10 @@ DEFAULT_SCAN_BOUND = 1000
 
 class PeriodData:
     """Generators of a discrete subgroup of C^n over a declared real
-    tower field, with certified-number bindings for the irrational
-    basis elements."""
+    tower field; ``param_spec`` is the certified number bound to the
+    tower's parameter (None when formal or absent)."""
 
-    def __init__(self, field, n: int, generators, bindings=None):
+    def __init__(self, field, n: int, generators, param_spec=None):
         self.field = field
         self.cfield = complexify(field)
         self.n = n
@@ -102,12 +96,7 @@ class PeriodData:
                 raise StructureError("generator has the wrong length")
             gens.append(tuple(self.cfield.coerce(x) for x in v))
         self.generators = tuple(gens)
-        self.bindings = dict(bindings or {})
-        if (1, 0) not in self.bindings and isinstance(field, QuadraticField):
-            self.bindings[(1, 0)] = QuadraticSurd(1, 0, -field.d, "plus")
-        base = getattr(field, "base", None)
-        if (1, 0) not in self.bindings and isinstance(base, QuadraticField):
-            self.bindings[(1, 0)] = QuadraticSurd(1, 0, -base.d, "plus")
+        self.param_spec = param_spec
         m = self.real_matrix()
         if rank(m) != len(self.generators):
             raise StructureError(
@@ -322,7 +311,7 @@ def normal_form_period_data(nf: ToroidalNormalForm) -> PeriodData:
     rows = nf.display_rows()
     gens = [[rows[i][j] for i in range(nf.k + nf.q)]
             for j in range(nf.k + 2 * nf.q)]
-    return PeriodData(nf.pd.field, nf.k + nf.q, gens, nf.pd.bindings)
+    return PeriodData(nf.pd.field, nf.k + nf.q, gens, nf.pd.param_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +446,7 @@ def _split_one_cstar(nf: ToroidalNormalForm, sigma):
                           for j in range(ncols)]
     reduced = [[rows[irow][j] for irow in range(1, k + q)]
                for j in range(ncols) if j != piv]
-    return PeriodData(nf.pd.field, k + q - 1, reduced, nf.pd.bindings)
+    return PeriodData(nf.pd.field, k + q - 1, reduced, nf.pd.param_spec)
 
 
 def remmert_morimoto(pd: PeriodData) -> RemmertMorimoto:
@@ -571,22 +560,26 @@ def _iv_pow(a, k: int):
     return out
 
 
-class _Evaluator:
-    """Certified interval evaluation of field elements through the
-    declared-number bindings."""
+def _surd_d(field):
+    """d of the tower's quadratic level Q(sqrt d), or None."""
+    if not isinstance(field, QuadraticField):
+        field = getattr(field, "base", None)
+    return field.d if isinstance(field, QuadraticField) else None
 
-    def __init__(self, field, bindings):
+
+class _Evaluator:
+    """Certified interval evaluation of field elements: sqrt d through
+    the field's quadratic level, the parameter through ``param_spec``."""
+
+    def __init__(self, field, param_spec):
         self.field = field
-        self.bindings = bindings
+        d = _surd_d(field)
+        self.surd = None if d is None else QuadraticSurd(1, 0, -d, "plus")
+        self.param_spec = param_spec
 
     def has_numeric_model(self, element) -> bool:
-        for (eps, kk) in self.field.q_labels(element):
-            if eps and (1, 0) not in self.bindings:
-                return False
-            if kk and ((0, 1) not in self.bindings
-                       or self.bindings[(0, 1)] is None):
-                return False
-        return True
+        return self.param_spec is not None or not any(
+            kk for _, kk in self.field.q_labels(element))
 
     def interval(self, element, width: Fraction):
         labels = self.field.q_labels(element)
@@ -598,9 +591,9 @@ class _Evaluator:
             part_width = width / (nterms * (abs(c) + 1) * (eps + kk + 1) * 4)
             iv = (Fraction(1), Fraction(1))
             if eps:
-                iv = _iv_mul(iv, self.bindings[(1, 0)].enclosure(part_width))
+                iv = _iv_mul(iv, self.surd.enclosure(part_width))
             if kk:
-                base = self.bindings[(0, 1)].enclosure(part_width)
+                base = self.param_spec.enclosure(part_width)
                 iv = _iv_mul(iv, _iv_pow(base, kk))
             out = _iv_add(out, _iv_scale(c, iv))
         return out
@@ -666,29 +659,32 @@ def _sigma_shells(kdim: int, bound: int):
         yield s, shell
 
 
-def theta_classify(R: Matrix, bindings=None, scan_bound=None,
+def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
                    convergent_source=None,
                    certify_cutoff: int = 100) -> ThetaVerdict:
     """Classify the glueing matrix: NotToroidal with a witness, a
     certified theta radius for the quadratic-surd shape, wild evidence
-    from convergent growth ratios, or Undetermined with scan data."""
+    from convergent growth ratios, or Undetermined with scan data.
+    ``param_spec`` is the number bound to the tower's parameter;
+    ``convergent_source`` overrides it in the growth-ratio test."""
     scan_bound = scan_bound or DEFAULT_SCAN_BOUND
     witness = check_irrationality(R)
     if witness is not None:
         return NotToroidal(witness)
     field = R.field
-    ev = _Evaluator(field, bindings or {})
+    ev = _Evaluator(field, param_spec)
     kdim, width2q = R.nrows, R.ncols
     if kdim == 0:
         return ThetaCertified(Fraction(3),
                               {"note": "no glueing rows (compact torus)"})
 
-    certified = _try_certify_quadratic(R, ev, certify_cutoff)
+    certified = _try_certify_quadratic(R, certify_cutoff)
     if certified is not None:
         return certified
 
-    if convergent_source is not None:
-        ratios = convergent_source.convergent_ratios()
+    source = convergent_source or param_spec
+    if source is not None:
+        ratios = source.convergent_ratios()
         if len(ratios) >= 3 and all(ratios[i] < ratios[i + 1]
                                     for i in range(len(ratios) - 1)):
             return WildEvidence(ratios)
@@ -717,28 +713,27 @@ def theta_classify(R: Matrix, bindings=None, scan_bound=None,
                     max_ratio = max(max_ratio, ratio)
     except PrecisionUnavailable as exc:
         return Undetermined(scan_bound, max_ratio, str(exc))
-    if convergent_source is not None:
-        ratios = convergent_source.convergent_ratios()
+    if source is not None:
+        ratios = source.convergent_ratios()
         return Undetermined(scan_bound, max_ratio,
                             "convergent ratios not increasing: "
                             f"{ratios}")
     return Undetermined(scan_bound, max_ratio, "no certificate applies")
 
 
-def _try_certify_quadratic(R: Matrix, ev: _Evaluator, cutoff: int):
+def _try_certify_quadratic(R: Matrix, cutoff: int):
     """Effective Liouville certificate for one glueing row whose single
-    irrational entry is a declared quadratic surd."""
+    irrational entry lies in the field's Q(sqrt d)."""
     field = R.field
     if R.nrows != 1:
         return None
-    surd_spec = ev.bindings.get((1, 0))
     irrational_cols = []
     for j in range(R.ncols):
         labels = field.q_labels(R.rows[0][j])
         extra = set(labels) - {(0, 0)}
         if not extra:
             continue
-        if extra != {(1, 0)} or surd_spec is None:
+        if extra != {(1, 0)}:
             return None
         irrational_cols.append(j)
     if len(irrational_cols) != 1:
@@ -747,12 +742,8 @@ def _try_certify_quadratic(R: Matrix, ev: _Evaluator, cutoff: int):
     labels = field.q_labels(R.rows[0][j])
     c0 = labels.get((0, 0), Fraction(0))
     c1 = labels[(1, 0)]
-    # minimal polynomial of beta = c0 + c1 * alpha with alpha^2 = d
-    d = -surd_spec.C if (surd_spec.A, surd_spec.B) == (1, 0) else None
-    if d is None:
-        u, v, dd = surd_spec.quad_field_coords()
-        c0, c1, d = c0 + c1 * u, c1 * v, dd
-    # (x - c0)^2 = c1^2 d
+    # minimal polynomial of beta = c0 + c1 sqrt d: (x - c0)^2 = c1^2 d
+    d = _surd_d(field)
     bq = -2 * c0
     cq = c0 * c0 - c1 * c1 * d
     den = math.lcm(bq.denominator, cq.denominator)
@@ -879,9 +870,7 @@ def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
     coeffs, vectors = lattice_intersection(L, f)
     coords, nf2 = complex_coordinates_on(J, f, L.field)
     gens = [coords(v) for v in vectors]
-    spec = L.param_spec
-    pd = PeriodData(L.field, nf2, gens,
-                    {} if spec is None else {(0, 1): spec})
+    pd = PeriodData(L.field, nf2, gens, L.param_spec)
     if len(vectors) == f.dim:
         return LeafAnalysis(coeffs, vectors, pd, None, None,
                             "compact torus")
@@ -890,10 +879,8 @@ def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
         return LeafAnalysis(
             coeffs, vectors, pd, rm, None,
             f"leaf with flat factors (a={rm.a}, b={rm.b})")
-    source = spec if isinstance(spec, ConvergentSeries) else None
-    theta = theta_classify(rm.normal_form.R, pd.bindings,
-                           scan_bound=scan_bound,
-                           convergent_source=source)
+    theta = theta_classify(rm.normal_form.R, pd.param_spec,
+                           scan_bound=scan_bound)
     names = {
         "theta-certified": "toroidal theta (certified)",
         "wild-evidence": "toroidal wild (evidence)",
@@ -996,10 +983,12 @@ def _parse_entry_expr(text: str, cfield, symbols):
 
 
 @input_errors_as_parse_error("number")
-def number_spec_from_document(doc) -> NumberSpec | None:
+def number_spec_from_document(doc):
+    """The value of a number document: a Fraction, a QuadraticSurd, a
+    ConvergentSeries, or None for a formal number."""
     kind = doc.get("type")
     if kind == "rational":
-        return ExactRational(Fraction(doc["value"]))
+        return Fraction(doc["value"])
     if kind == "sqrt":
         return QuadraticSurd(1, 0, -int(doc["d"]), "plus")
     if kind == "quadratic":
@@ -1019,26 +1008,26 @@ def number_spec_from_document(doc) -> NumberSpec | None:
 
 
 def number_declarations(numbers):
-    """Read a ``numbers`` block into (field, cfield, symbols, bindings).
+    """Read declared numbers, a name -> value map in the kinds of
+    :func:`number_spec_from_document`, into (field, cfield, symbols,
+    param_spec).
 
     ``field`` is the real tower Q [ (sqrt d) ] [ (parameter) ] and
     ``cfield`` its complexification.  Several quadratic numbers may be
     declared when they share one field Q(sqrt d); at most one formal or
     convergent parameter may be.  ``symbols`` maps each declared name
-    to its element of ``cfield``, and ``bindings`` maps the tower's
-    basis labels to certified numbers: (1, 0) to sqrt d and (0, 1) to
-    the parameter's spec (None when it is formal).
+    to its element of ``cfield``, and ``param_spec`` is the series
+    bound to the parameter (None when it is formal or absent).
     """
     surd_d = None
     param_name = None
     param_spec = None
     values = {}
-    for name, spec_doc in sorted(numbers.items()):
-        spec = number_spec_from_document(spec_doc)
-        if isinstance(spec, ExactRational):
-            values[name] = spec.value
-        elif isinstance(spec, QuadraticSurd):
-            u, v, d = spec.quad_field_coords()
+    for name, number in sorted(numbers.items()):
+        if isinstance(number, Fraction):
+            values[name] = number
+        elif isinstance(number, QuadraticSurd):
+            u, v, d = number.quad_field_coords()
             if surd_d is not None and surd_d != d:
                 raise UnsupportedError(
                     "at most one quadratic extension is supported (field "
@@ -1049,7 +1038,7 @@ def number_declarations(numbers):
             if param_name is not None:
                 raise UnsupportedError(
                     "at most one formal/convergent parameter is supported")
-            param_name, param_spec = name, spec
+            param_name, param_spec = name, number
     field = build_field(surd_d, param_name)
     cfield = complexify(field)
     symbols = {}
@@ -1057,13 +1046,9 @@ def number_declarations(numbers):
         if isinstance(value, QuadSurd) and param_name is not None:
             value = field.coerce(field.base.coerce(value))
         symbols[name] = cfield.coerce(value)
-    bindings = {}
-    if surd_d is not None:
-        bindings[(1, 0)] = QuadraticSurd(1, 0, -surd_d, "plus")
     if param_name is not None:
         symbols[param_name] = cfield.coerce(field.gen())
-        bindings[(0, 1)] = param_spec
-    return field, cfield, symbols, bindings
+    return field, cfield, symbols, param_spec
 
 
 @input_errors_as_parse_error("period document")
@@ -1071,15 +1056,16 @@ def period_data_from_document(doc) -> PeriodData:
     """Build period data from a parsed JSON document; see the module
     docstring for the grammar."""
     n = int(doc["dimension"])
-    field, cfield, symbols, bindings = number_declarations(
-        doc.get("numbers", {}))
+    field, cfield, symbols, param_spec = number_declarations(
+        {name: number_spec_from_document(number)
+         for name, number in doc.get("numbers", {}).items()})
     gens = []
     for row in doc["generators"]:
         if len(row) != n:
             raise ParseError("generator row has the wrong length")
         gens.append([_parse_entry_expr(str(x), cfield, symbols)
                      for x in row])
-    return PeriodData(field, n, gens, bindings)
+    return PeriodData(field, n, gens, param_spec)
 
 
 def load_period_file(path) -> PeriodData:

@@ -22,7 +22,7 @@ from nilcohom.cxstruct import (
 )
 from nilcohom.exact import QQ, Matrix, Subspace
 from nilcohom.exact.fields import QuadSurd, QuadraticField
-from nilcohom.exact.numbers import QuadraticSurd, power_tower
+from nilcohom.exact.numbers import power_tower
 from nilcohom.liealg import (
     betti_numbers,
     check_jacobi,
@@ -151,7 +151,7 @@ def test_criterion_6_toroidal():
 
     K = QuadraticField(2)
     R_surd = Matrix(K, [[K.zero(), K.gen()]])
-    v2 = theta_classify(R_surd, {(1, 0): QuadraticSurd(1, 0, -2)})
+    v2 = theta_classify(R_surd)
     assert isinstance(v2, ThetaCertified)
     r = int(v2.radius)
     # independent scan: dist(s*sqrt2, Z) >= r^-s for all |s| <= 100,

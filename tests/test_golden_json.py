@@ -24,13 +24,26 @@ VERIFY_H7 = ["verify-theorem", "h7", "--J", "std",
              "--ideal", "e3,e4,e5,e6", "--f0", "e5,e6",
              "--g0", "Xbar1,Xbar3"]
 
-# the period numbers of tests/test_cli.py, one period file each
-PERIOD_NUMBERS = {
-    "sqrt2": {"type": "sqrt", "d": 2},
-    "half": {"type": "rational", "value": "1/2"},
-    "power_tower": {"type": "convergents", "family": "power-tower",
-                    "base": 2, "start": 4},
+SQRT2 = {"type": "sqrt", "d": 2}
+ONE_ROW = [["1", "0"], ["0", "1"], ["a", "i"]]
+
+# period file name -> (dimension, numbers, generators): the period
+# numbers of tests/test_cli.py, and two blocks whose scan runs on
+# certified enclosures of sqrt 2
+PERIODS = {
+    "sqrt2": (2, {"a": SQRT2}, ONE_ROW),
+    "half": (2, {"a": {"type": "rational", "value": "1/2"}}, ONE_ROW),
+    "power_tower": (2, {"a": {"type": "convergents", "family": "power-tower",
+                              "base": 2, "start": 4}}, ONE_ROW),
+    "dim3_sqrt2": (3, {"r": SQRT2},
+                   [["1", "0", "0"], ["0", "1", "0"], ["r", "0", "1"],
+                    ["0", "r", "i"]]),
+    "sqrt2_liouville": (2, {"r": SQRT2,
+                            "a": {"type": "convergents",
+                                  "family": "liouville10"}},
+                        [["1", "0"], ["0", "1"], ["r*a", "i"]]),
 }
+SCANS = {"dim3_sqrt2": ["--scan", "10"], "sqrt2_liouville": ["--scan", "3"]}
 
 CASES = {
     "hodge_kt": ["cohomology", "kodaira-thurston", "--J", "std",
@@ -51,7 +64,7 @@ CASES = {
     "verify_h7_quadratic": VERIFY_H7 + ["--param", "a=quadratic:1,0,-8"],
     "verify_h7_bad_g0": VERIFY_H7[:-1] + ["Xbar1,Xbar2"],
     **{f"toroidal_{name}": ["toroidal", f"period_{name}.json"]
-       for name in PERIOD_NUMBERS},
+       + SCANS.get(name, []) for name in PERIODS},
 }
 
 
@@ -64,11 +77,10 @@ def run_case(argv):
 
 
 def write_period_files(directory):
-    for name, number in PERIOD_NUMBERS.items():
+    for name, (n, numbers, generators) in PERIODS.items():
         with open(os.path.join(directory, f"period_{name}.json"), "w") as fh:
-            json.dump({"dimension": 2, "numbers": {"a": number},
-                       "generators": [["1", "0"], ["0", "1"], ["a", "i"]]},
-                      fh)
+            json.dump({"dimension": n, "numbers": numbers,
+                       "generators": generators}, fh)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -5,19 +5,12 @@ import pytest
 from nilcohom.errors import PrecisionUnavailable
 from nilcohom.exact.numbers import (
     ConvergentSeries,
-    ExactRational,
     ExponentPair,
     QuadraticSurd,
     convergent_family,
     liouville_decimal,
     power_tower,
 )
-
-
-def test_exact_rational_enclosure():
-    x = ExactRational(Fraction(1, 3))
-    assert x.enclosure(Fraction(1, 100)) == (Fraction(1, 3), Fraction(1, 3))
-    assert x.is_rational()
 
 
 def test_sqrt2_enclosure_contains_convergent_window():

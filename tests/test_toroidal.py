@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import substituted_case
+from nilcohom.catalog import parse_number_override
 from nilcohom.cxstruct import AlmostComplexStructure
 from nilcohom.errors import (
     ParseError,
@@ -15,6 +16,7 @@ from nilcohom.errors import (
 from nilcohom.exact import QQ, Matrix, build_field
 from nilcohom.exact.fields import QuadraticField, QuadSurd
 from nilcohom.exact.numbers import (
+    ConvergentSeries,
     QuadraticSurd,
     liouville_decimal,
     power_tower,
@@ -29,6 +31,7 @@ from nilcohom.toroidal import (
     check_irrationality,
     hausdorff_hodge,
     leaf_analysis,
+    number_spec_from_document,
     period_data_from_document,
     remmert_morimoto,
     theta_classify,
@@ -168,7 +171,7 @@ class TestThetaClassification:
     def test_sqrt2_certified(self):
         K = QuadraticField(2)
         R = Matrix(K, [[K.zero(), K.gen()]])
-        v = theta_classify(R, {(1, 0): QuadraticSurd(1, 0, -2)})
+        v = theta_classify(R)
         assert isinstance(v, ThetaCertified)
         assert v.radius == 6  # 2|A|(ceil sqrt2 + 1) + |B| = 6
         assert v.certificate["min_poly"] == [1, 0, -2]
@@ -179,7 +182,7 @@ class TestThetaClassification:
         K = QuadraticField(3)
         x = K.coerce(Fraction(1, 2)) + K.gen()
         R = Matrix(K, [[K.zero(), x]])
-        v = theta_classify(R, {(1, 0): QuadraticSurd(1, 0, -3)})
+        v = theta_classify(R)
         assert isinstance(v, ThetaCertified)
 
     def test_formal_undetermined(self):
@@ -213,8 +216,7 @@ class TestThetaClassification:
         R = Matrix(K, [[K.zero(), K.gen()]])
         kinds = set()
         for scan in (10, 100):
-            v = theta_classify(R, {(1, 0): QuadraticSurd(1, 0, -2)},
-                               scan_bound=scan,
+            v = theta_classify(R, scan_bound=scan,
                                convergent_source=power_tower(2, 4))
             kinds.add(v.kind)
         assert kinds == {"theta-certified"}
@@ -223,9 +225,17 @@ class TestThetaClassification:
         K = QuadraticField(5)
         x = (K.gen() + 1) / K.from_int(2)
         R = Matrix(K, [[K.zero(), x]])
-        v = theta_classify(R, {(1, 0): QuadraticSurd(1, 0, -5)},
-                           scan_bound=25, certify_cutoff=25)
+        v = theta_classify(R, scan_bound=25, certify_cutoff=25)
         assert isinstance(v, ThetaCertified)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_field_supplies_its_surd(self, d):
+        # sqrt d is read from the field Q(sqrt d) alone
+        K = QuadraticField(d)
+        R = Matrix(K, [[K.zero(), K.gen()]])
+        v = theta_classify(R)
+        assert isinstance(v, ThetaCertified)
+        assert v.certificate["min_poly"] == [1, 0, -d]
 
     def test_numeric_scan_collects_evidence(self):
         # a convergent-bound entry with non-increasing ratios falls
@@ -233,8 +243,7 @@ class TestThetaClassification:
         # undetermined with the observed maximum growth ratio
         K = build_field(None, "t")
         R = Matrix(K, [[K.zero(), K.gen()]])
-        v = theta_classify(R, {(0, 1): liouville_decimal()},
-                           scan_bound=20,
+        v = theta_classify(R, liouville_decimal(), scan_bound=20,
                            convergent_source=liouville_decimal())
         assert isinstance(v, Undetermined)
         assert v.scan_bound == 20
@@ -330,9 +339,34 @@ class TestPeriodDocuments:
             "generators": [["1", "0"], ["0", "1"], ["a", "i"]],
         })
         nf = toroidal_normalize(pd)
-        source = pd.bindings[(0, 1)]
-        v = theta_classify(nf.R, pd.bindings, convergent_source=source)
+        v = theta_classify(nf.R, pd.param_spec)
         assert isinstance(v, WildEvidence)
+
+
+def number_key(value):
+    """What identifies a declared number: its value, its surd, or its
+    series and certified convergents."""
+    if isinstance(value, QuadraticSurd):
+        return ("quadratic", value.min_poly(), value.branch)
+    if isinstance(value, ConvergentSeries):
+        return ("convergents", value.description, list(value.source()))
+    return value
+
+
+@pytest.mark.parametrize("text, doc", [
+    ("1/3", {"type": "rational", "value": "1/3"}),
+    ("sqrt:8", {"type": "sqrt", "d": 8}),
+    ("quadratic:1,0,-8,minus",
+     {"type": "quadratic", "poly": [1, 0, -8], "root": "minus"}),
+    ("power-tower:3",
+     {"type": "convergents", "family": "power-tower", "base": 3,
+      "start": 9}),
+    ("liouville10", {"type": "convergents", "family": "liouville10"}),
+    ("formal", {"type": "formal"}),
+])
+def test_param_text_reads_as_its_document(text, doc):
+    assert (number_key(parse_number_override(text))
+            == number_key(number_spec_from_document(doc)))
 
 
 def enclosure_floor(x, rounds=12):
