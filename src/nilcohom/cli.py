@@ -198,11 +198,18 @@ def _verdict_payload(verdict):
     return verdict.as_dict()
 
 
+@input_errors_as_parse_error("--convergents value")
+def _convergent_source(spec):
+    return convergent_family(spec)
+
+
 def cmd_toroidal(args) -> int:
     scan = scan_bound(args)
+    source = (_convergent_source(args.convergents) if args.convergents
+              else None)
     pd = load_period_file(args.period_file)
     nf = toroidal_normalize(pd)
-    rm = remmert_morimoto(pd)
+    rm = remmert_morimoto(nf)
     results = {
         "dimension": pd.n,
         "lattice_rank": pd.m,
@@ -231,8 +238,6 @@ def cmd_toroidal(args) -> int:
         f"splitting: C^{rm.a} x (C*)^{rm.b} x "
         + (f"toroidal(dim {rm.toroidal.n})" if rm.toroidal else "(nothing)"),
     ]
-    source = (convergent_family(args.convergents) if args.convergents
-              else None)
     verdict = theta_classify(nf.R, pd.param_spec, scan_bound=scan,
                              convergent_source=source)
     results["verdict"] = _verdict_payload(verdict)

@@ -306,11 +306,11 @@ def liouville_decimal() -> ConvergentSeries:
     bounded by twice its first omitted term."""
 
     def gen():
-        exps = []
+        qs = []
         for k in range(1, 4):  # q_4 = 10**10**24 is not materialisable
-            exps.append(10 ** math.factorial(k))
-            qk = 10 ** exps[-1]
-            pk = sum(qk // 10**e for e in exps)
+            qs.append(10 ** 10 ** math.factorial(k))
+            qk = qs[-1]
+            pk = sum(qk // qj for qj in qs)
             yield pk, qk, ExponentPair(2, -(10 ** math.factorial(k + 1)))
 
     return ConvergentSeries(gen, "sum 10^-10^(k!)")

@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import (
     ParseError,
@@ -449,13 +448,13 @@ def _split_one_cstar(nf: ToroidalNormalForm, sigma):
     return PeriodData(nf.pd.field, k + q - 1, reduced, nf.pd.param_spec)
 
 
-def remmert_morimoto(pd: PeriodData) -> RemmertMorimoto:
-    """Split F into C^a x (C^*)^b x (toroidal part), iterating the
-    witness search until the irrationality condition holds."""
-    nf = toroidal_normalize(pd)
+def remmert_morimoto(nf: ToroidalNormalForm) -> RemmertMorimoto:
+    """Split F into C^a x (C^*)^b x (toroidal part), starting from the
+    normal form of its period data and iterating the witness search
+    until the irrationality condition holds."""
     a = nf.a
     b = 0
-    for _ in range(pd.n + 1):
+    for _ in range(nf.pd.n + 1):
         if nf.k == 0 and nf.q == 0:
             return RemmertMorimoto(a, b, None, None)
         if nf.q == 0:
@@ -568,21 +567,20 @@ def _surd_d(field):
 
 
 class _Evaluator:
-    """Certified interval evaluation of field elements: sqrt d through
-    the field's quadratic level, the parameter through ``param_spec``."""
+    """Certified interval evaluation of field elements given by their
+    ``q_labels``: sqrt d through the field's quadratic level, the
+    parameter through ``param_spec``."""
 
     def __init__(self, field, param_spec):
-        self.field = field
         d = _surd_d(field)
         self.surd = None if d is None else QuadraticSurd(1, 0, -d, "plus")
         self.param_spec = param_spec
 
-    def has_numeric_model(self, element) -> bool:
+    def has_numeric_model(self, labels) -> bool:
         return self.param_spec is not None or not any(
-            kk for _, kk in self.field.q_labels(element))
+            kk for _, kk in labels)
 
-    def interval(self, element, width: Fraction):
-        labels = self.field.q_labels(element)
+    def interval(self, labels, width: Fraction):
         if not labels:
             return (Fraction(0), Fraction(0))
         nterms = len(labels)
@@ -598,8 +596,7 @@ class _Evaluator:
             out = _iv_add(out, _iv_scale(c, iv))
         return out
 
-    def exact_rational(self, element):
-        labels = self.field.q_labels(element)
+    def exact_rational(self, labels):
         if set(labels) <= {(0, 0)}:
             return labels.get((0, 0), Fraction(0))
         return None
@@ -619,44 +616,63 @@ def _dist_interval_to_z(iv):
     return (Fraction(0), max(nearest - lo, hi - nearest))
 
 
-def _entry_dist(ev: _Evaluator, value, need_below=None):
-    """Certified interval of dist(value, Z), refined until the nearest
-    integer is pinned and, when ``need_below`` is given, until the
-    comparison with it is decided."""
-    exact = ev.exact_rational(value)
+def _entry_dist(ev: _Evaluator, labels):
+    """Certified interval of dist(value, Z) for the value with these
+    ``q_labels``, refined until the nearest integer is pinned and the
+    interval is tight."""
+    exact = ev.exact_rational(labels)
     if exact is not None:
         fl = math.floor(exact)
         d = min(exact - fl, fl + 1 - exact)
         return (d, d)
     width = Fraction(1, 16)
     for _ in range(300):
-        iv = ev.interval(value, width)
+        iv = ev.interval(labels, width)
         div = _dist_interval_to_z(iv)
-        if div is not None:
-            if need_below is None:
-                if div[1] - div[0] <= max(div[0] / 4, Fraction(1, 2**40)):
-                    return div
-            else:
-                if div[0] >= need_below or div[1] < need_below:
-                    return div
+        if div is not None and (div[1] - div[0]
+                                <= max(div[0] / 4, Fraction(1, 2**40))):
+            return div
         width /= 16
     raise PrecisionUnavailable("distance enclosure failed to converge")
 
 
 def _sigma_shells(kdim: int, bound: int):
-    """Nonzero integer vectors grouped by sup-norm shell; one of each
-    antipodal pair."""
+    """Nonzero integer vectors grouped by sup-norm shell, one of each
+    antipodal pair (the one whose first nonzero entry is positive),
+    each shell in lexicographic order."""
     for s in range(1, bound + 1):
-        shell = []
-        rng = range(-s, s + 1)
-        for vec in iter_product(rng, repeat=kdim):
-            if max(abs(x) for x in vec) != s:
-                continue
-            first = next(x for x in vec if x)
-            if first < 0:
-                continue
-            shell.append(vec)
-        yield s, shell
+        yield s, list(_shell(kdim, s, True, False))
+
+
+def _shell(k: int, s: int, leading: bool, on_face: bool):
+    """The length-k tails, in lexicographic order, of the shell-s
+    vectors whose head is all zeros (``leading``) or already has an
+    entry of absolute value s (``on_face``); only the boundary of the
+    cube is visited."""
+    if k == 0:
+        if on_face:
+            yield ()
+        return
+    if k == 1 and not on_face:
+        xs = (s,) if leading else (-s, s)
+    else:
+        xs = range(0 if leading else -s, s + 1)
+    for x in xs:
+        for tail in _shell(k - 1, s, leading and x == 0,
+                           on_face or abs(x) == s):
+            yield (x,) + tail
+
+
+def _sigma_labels(sigma, column):
+    """q_labels of sum_i sigma_i * R_ij from the labels ``column[i]``
+    of the entries R_ij: labels are Q-linear, and zero coefficients
+    are dropped as ``q_labels`` drops them."""
+    out = {}
+    for x, labels in zip(sigma, column):
+        if x:
+            for lab, c in labels.items():
+                out[lab] = out.get(lab, 0) + x * c
+    return {lab: c for lab, c in out.items() if c}
 
 
 def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
@@ -671,14 +687,15 @@ def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
     witness = check_irrationality(R)
     if witness is not None:
         return NotToroidal(witness)
-    field = R.field
-    ev = _Evaluator(field, param_spec)
-    kdim, width2q = R.nrows, R.ncols
-    if kdim == 0:
+    if R.nrows == 0:
         return ThetaCertified(Fraction(3),
                               {"note": "no glueing rows (compact torus)"})
+    # the scan reads each entry only through its labels, which are
+    # Q-linear: the labels of sigma^t R are integer combinations
+    columns = [[R.field.q_labels(row[j]) for row in R.rows]
+               for j in range(R.ncols)]
 
-    certified = _try_certify_quadratic(R, certify_cutoff)
+    certified = _try_certify_quadratic(R.field, columns, certify_cutoff)
     if certified is not None:
         return certified
 
@@ -689,21 +706,18 @@ def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
                                     for i in range(len(ratios) - 1)):
             return WildEvidence(ratios)
 
-    numeric = all(ev.has_numeric_model(R.rows[i][j])
-                  for i in range(kdim) for j in range(width2q))
-    if not numeric:
+    ev = _Evaluator(R.field, param_spec)
+    if not all(ev.has_numeric_model(labels)
+               for column in columns for labels in column):
         return Undetermined(0, None,
                             "formal parameter present: supply a value or "
                             "a convergent source")
     max_ratio = 0.0
     try:
-        for s, shell in _sigma_shells(kdim, scan_bound):
+        for s, shell in _sigma_shells(R.nrows, scan_bound):
             for sigma in shell:
-                dists = []
-                for j in range(width2q):
-                    val = sum((field.coerce(Fraction(sigma[i])) * R.rows[i][j]
-                               for i in range(kdim)), field.zero())
-                    dists.append(_entry_dist(ev, val))
+                dists = [_entry_dist(ev, _sigma_labels(sigma, column))
+                         for column in columns]
                 dlo = max(d[0] for d in dists)
                 dhi = max(d[1] for d in dists)
                 if dhi <= 0:
@@ -714,22 +728,20 @@ def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
     except PrecisionUnavailable as exc:
         return Undetermined(scan_bound, max_ratio, str(exc))
     if source is not None:
-        ratios = source.convergent_ratios()
         return Undetermined(scan_bound, max_ratio,
                             "convergent ratios not increasing: "
                             f"{ratios}")
     return Undetermined(scan_bound, max_ratio, "no certificate applies")
 
 
-def _try_certify_quadratic(R: Matrix, cutoff: int):
+def _try_certify_quadratic(field, columns, cutoff: int):
     """Effective Liouville certificate for one glueing row whose single
-    irrational entry lies in the field's Q(sqrt d)."""
-    field = R.field
-    if R.nrows != 1:
+    irrational entry lies in the field's Q(sqrt d); ``columns`` holds
+    the q_labels of the glueing entries."""
+    if any(len(column) != 1 for column in columns):
         return None
     irrational_cols = []
-    for j in range(R.ncols):
-        labels = field.q_labels(R.rows[0][j])
+    for j, (labels,) in enumerate(columns):
         extra = set(labels) - {(0, 0)}
         if not extra:
             continue
@@ -739,7 +751,7 @@ def _try_certify_quadratic(R: Matrix, cutoff: int):
     if len(irrational_cols) != 1:
         return None
     j = irrational_cols[0]
-    labels = field.q_labels(R.rows[0][j])
+    labels = columns[j][0]
     c0 = labels.get((0, 0), Fraction(0))
     c1 = labels[(1, 0)]
     # minimal polynomial of beta = c0 + c1 sqrt d: (x - c0)^2 = c1^2 d
@@ -751,11 +763,13 @@ def _try_certify_quadratic(R: Matrix, cutoff: int):
     beta = QuadraticSurd(A, B, C,
                          "plus" if c1 > 0 else "minus")
     M = beta.liouville_constant()
-    radius = Fraction(max(3, M))
-    # direct confirmation on small witnesses, in exact arithmetic
-    beta_exact = QuadSurd(c0, c1, d)
+    radius = max(3, M)
+    # direct confirmation on small witnesses, exact in integers:
+    # beta = (a + b sqrt d) / D
+    D = math.lcm(c0.denominator, c1.denominator)
+    a, b = int(c0 * D), int(c1 * D)
     for s in range(1, cutoff + 1):
-        if (_qsurd_dist_to_z(beta_exact * s) - radius ** (-s)).sign() < 0:
+        if _near_integer(s * a, s * b, d, D, radius ** s):
             return None
     cert = {
         "column": j + 1,
@@ -763,27 +777,36 @@ def _try_certify_quadratic(R: Matrix, cutoff: int):
         "liouville_constant": M,
         "cutoff_checked": cutoff,
     }
-    return ThetaCertified(radius, cert)
+    return ThetaCertified(Fraction(radius), cert)
 
 
-def _qsurd_floor(x: QuadSurd) -> int:
-    """Exact floor of u + v sqrt d: the candidate floor(u) +- floor(|v|
-    sqrt d) is off by at most one, and the exact sign of x - k settles
-    it."""
-    w = x.v * x.v * x.d
-    r = math.isqrt(w.numerator * w.denominator) // w.denominator
-    k = math.floor(x.u) + (r if x.v >= 0 else -r)
-    while (x - k).sign() < 0:
-        k -= 1
-    while (x - (k + 1)).sign() >= 0:
-        k += 1
-    return k
+def _surd_sign(u: int, v: int, d: int) -> int:
+    """Exact sign of u + v sqrt d for integers u, v and squarefree d."""
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0)
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    return su if u * u > v * v * d else sv
 
 
-def _qsurd_dist_to_z(x: QuadSurd) -> QuadSurd:
-    frac = x - _qsurd_floor(x)
-    other = -(frac - 1)
-    return frac if (frac - other).sign() < 0 else other
+def _surd_floor(a: int, b: int, d: int, D: int) -> int:
+    """Exact floor of (a + b sqrt d) / D for D > 0: floor(b sqrt d) is
+    isqrt(b^2 d), one less when b < 0 since b sqrt d is then not an
+    integer, and floor(y / D) = floor(floor(y) / D)."""
+    r = math.isqrt(b * b * d)
+    return (a + (r if b >= 0 else -r - 1)) // D
+
+
+def _near_integer(a: int, b: int, d: int, D: int, P: int) -> bool:
+    """Whether x = (a + b sqrt d) / D lies within 1/P of an integer:
+    with k = floor(x), exactly when x - k < 1/P or k + 1 - x < 1/P,
+    each the sign of an integer u + v sqrt d."""
+    u = P * (a - _surd_floor(a, b, d, D) * D)
+    v = P * b
+    return (_surd_sign(u - D, v, d) < 0
+            or _surd_sign(P * D - u - D, -v, d) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +817,7 @@ def hausdorff_hodge(pd: PeriodData, p: int, qprime: int) -> int:
     """dim of the (p, q') invariant block: binom(n, p) * binom(q, q')
     for a toroidal group of rank q; the exact cohomology in the theta
     case and the Hausdorff quotient in the wild case."""
-    rm = remmert_morimoto(pd)
+    rm = remmert_morimoto(toroidal_normalize(pd))
     if rm.toroidal is None or rm.a or rm.b:
         raise UnsupportedError(
             "period data is not toroidal: Remmert-Morimoto gives "
@@ -874,7 +897,7 @@ def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
     if len(vectors) == f.dim:
         return LeafAnalysis(coeffs, vectors, pd, None, None,
                             "compact torus")
-    rm = remmert_morimoto(pd)
+    rm = remmert_morimoto(toroidal_normalize(pd))
     if rm.toroidal is None or rm.a or rm.b:
         return LeafAnalysis(
             coeffs, vectors, pd, rm, None,

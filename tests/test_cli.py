@@ -111,6 +111,60 @@ def test_toroidal_witness_reported(capsys, tmp_path):
     assert "(C*)^1" in out
 
 
+@pytest.mark.parametrize("spec", ["bogus", "power-tower:x",
+                                  "power-tower:2,6"])
+def test_toroidal_bad_convergents_exit_2(capsys, tmp_path, spec):
+    f = tmp_path / "period.json"
+    f.write_text(LEAF_DOC % '{"type": "formal"}')
+    code, out, err = run(capsys, "toroidal", str(f), "--convergents", spec)
+    assert code == 2
+    assert err.startswith("error: malformed")
+    assert "Traceback" not in err
+
+
+def test_toroidal_normalizes_once(capsys, tmp_path, monkeypatch):
+    import nilcohom.cli as cli
+    import nilcohom.toroidal as toroidal
+
+    calls = Counter()
+    original = toroidal.toroidal_normalize
+
+    def counting(pd):
+        calls["toroidal_normalize"] += 1
+        return original(pd)
+
+    monkeypatch.setattr(cli, "toroidal_normalize", counting)
+    monkeypatch.setattr(toroidal, "toroidal_normalize", counting)
+    f = tmp_path / "period.json"
+    f.write_text(LEAF_DOC % '{"type": "sqrt", "d": 2}')
+    code, out, err = run(capsys, "toroidal", str(f))
+    assert code == 0
+    assert calls == {"toroidal_normalize": 1}
+
+
+def test_theta_classify_reads_convergent_ratios_once(capsys, tmp_path,
+                                                     monkeypatch):
+    from nilcohom.exact.numbers import ConvergentSeries
+
+    calls = Counter()
+    original = ConvergentSeries.convergent_ratios
+
+    def counting(self, *args, **kwargs):
+        calls["convergent_ratios"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConvergentSeries, "convergent_ratios", counting)
+    f = tmp_path / "period.json"
+    f.write_text(json.dumps({
+        "dimension": 2,
+        "numbers": {"a": {"type": "convergents", "family": "liouville10"}},
+        "generators": [["1", "0"], ["0", "1"], ["3*a", "i"]]}))
+    code, out, err = run(capsys, "toroidal", str(f), "--scan", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["verdict"]["kind"] == "undetermined"
+    assert calls == {"convergent_ratios": 1}
+
+
 VERIFY_ARGS = ["verify-theorem", "h7", "--J", "std",
                "--lattice", "builtin:example-a",
                "--ideal", "e3,e4,e5,e6", "--f0", "e5,e6",

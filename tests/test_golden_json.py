@@ -42,6 +42,11 @@ PERIODS = {
                             "a": {"type": "convergents",
                                   "family": "liouville10"}},
                         [["1", "0"], ["0", "1"], ["r*a", "i"]]),
+    # the benchmark's liouville10 period file, scanned at the default
+    # bound on certified enclosures of the Liouville series
+    "liouville10": (2, {"a": {"type": "convergents",
+                              "family": "liouville10"}},
+                    [["1", "0"], ["0", "1"], ["3*a", "i"]]),
 }
 SCANS = {"dim3_sqrt2": ["--scan", "10"], "sqrt2_liouville": ["--scan", "3"]}
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,10 @@ from nilcohom.exact.numbers import (
     power_tower,
 )
 from nilcohom.toroidal import (
-    _qsurd_floor,
+    _near_integer,
+    _sigma_labels,
+    _sigma_shells,
+    _surd_floor,
     NotToroidal,
     PeriodData,
     ThetaCertified,
@@ -98,20 +102,20 @@ class TestNormalize:
 
 class TestRemmertMorimoto:
     def test_rank_zero(self):
-        rm = remmert_morimoto(PeriodData(QQ, 2, []))
+        rm = remmert_morimoto(toroidal_normalize(PeriodData(QQ, 2, [])))
         assert (rm.a, rm.b, rm.toroidal) == (2, 0, None)
 
     def test_single_integral_direction(self):
         pd = period_data_from_document(
             {"dimension": 1, "numbers": {}, "generators": [["1"]]})
-        rm = remmert_morimoto(pd)
+        rm = remmert_morimoto(toroidal_normalize(pd))
         assert (rm.a, rm.b, rm.toroidal) == (0, 1, None)
 
     def test_worked_leaf_is_toroidal(self, leaf_pd):
-        rm = remmert_morimoto(leaf_pd)
+        rm = remmert_morimoto(toroidal_normalize(leaf_pd))
         assert (rm.a, rm.b) == (0, 0)
         assert rm.toroidal is not None and rm.toroidal.n == 2
-        again = remmert_morimoto(rm.toroidal)
+        again = remmert_morimoto(toroidal_normalize(rm.toroidal))
         assert (again.a, again.b) == (0, 0)
         # the splitting fixes the toroidal part: recomputing returns it
         assert again.toroidal.generators == rm.toroidal.generators
@@ -120,13 +124,13 @@ class TestRemmertMorimoto:
         pd = period_data_from_document(
             {"dimension": 2, "numbers": {},
              "generators": [["1", "0"], ["0", "1"], ["1/2", "i"]]})
-        rm = remmert_morimoto(pd)
+        rm = remmert_morimoto(toroidal_normalize(pd))
         assert (rm.a, rm.b) == (0, 1)
         assert rm.toroidal is not None and rm.normal_form.q == 1
         assert rm.a + rm.b + rm.toroidal.n == 2
 
     def test_dimension_bookkeeping(self, leaf_pd):
-        rm = remmert_morimoto(leaf_pd)
+        rm = remmert_morimoto(toroidal_normalize(leaf_pd))
         assert rm.a + rm.b + (rm.toroidal.n if rm.toroidal else 0) \
             == leaf_pd.n
 
@@ -252,7 +256,7 @@ class TestThetaClassification:
 
 class TestHausdorffHodge:
     def test_binomial_dimensions(self, leaf_pd):
-        rm = remmert_morimoto(leaf_pd)
+        rm = remmert_morimoto(toroidal_normalize(leaf_pd))
         assert hausdorff_hodge(rm.toroidal, 0, 1) == 1
         assert hausdorff_hodge(rm.toroidal, 1, 1) == 2
         assert hausdorff_hodge(rm.toroidal, 0, 0) == 1
@@ -386,17 +390,51 @@ def enclosure_floor(x, rounds=12):
     return None
 
 
+def qsurd_floor(x: QuadSurd) -> int:
+    """Oracle: exact floor of u + v sqrt d in QuadSurd arithmetic; the
+    candidate floor(u) +- floor(|v| sqrt d) is off by at most one, and
+    the exact sign of x - k settles it."""
+    w = x.v * x.v * x.d
+    r = math.isqrt(w.numerator * w.denominator) // w.denominator
+    k = math.floor(x.u) + (r if x.v >= 0 else -r)
+    while (x - k).sign() < 0:
+        k -= 1
+    while (x - (k + 1)).sign() >= 0:
+        k += 1
+    return k
+
+
+def qsurd_dist_to_z(x: QuadSurd) -> QuadSurd:
+    """Oracle: exact distance from x to the nearest integer."""
+    frac = x - qsurd_floor(x)
+    other = -(frac - 1)
+    return frac if (frac - other).sign() < 0 else other
+
+
+def integer_form(x: QuadSurd):
+    """(a, b, D) with x = (a + b sqrt d) / D, D > 0."""
+    D = math.lcm(x.u.denominator, x.v.denominator)
+    return int(x.u * D), int(x.v * D), D
+
+
+def surd_floor(x: QuadSurd) -> int:
+    a, b, D = integer_form(x)
+    return _surd_floor(a, b, x.d, D)
+
+
 fractions_ = st.fractions(min_value=-10**6, max_value=10**6,
                           max_denominator=10**4)
+squarefree_ = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 101])
 
 
 @settings(max_examples=300, deadline=None)
-@given(fractions_, fractions_, st.sampled_from([2, 3, 5, 6, 7, 10, 11, 101]))
+@given(fractions_, fractions_, squarefree_)
 def test_qsurd_floor_is_exact(u, v, d):
     x = QuadSurd(u, v, d)
-    k = _qsurd_floor(x)
+    k = surd_floor(x)
     assert (x - k).sign() >= 0
     assert (x - (k + 1)).sign() < 0
+    assert k == qsurd_floor(x)
     settled = enclosure_floor(x)
     if settled is not None:
         assert k == settled
@@ -404,6 +442,85 @@ def test_qsurd_floor_is_exact(u, v, d):
 
 def test_qsurd_floor_near_an_integer():
     # 1 + 70 sqrt 2 = 99.9949..., 99 sqrt 2 - 140 = 0.0071...
-    assert _qsurd_floor(QuadSurd(1, 70, 2)) == 99
-    assert _qsurd_floor(QuadSurd(-140, 99, 2)) == 0
-    assert _qsurd_floor(QuadSurd(140, -99, 2)) == -1
+    assert surd_floor(QuadSurd(1, 70, 2)) == 99
+    assert surd_floor(QuadSurd(-140, 99, 2)) == 0
+    assert surd_floor(QuadSurd(140, -99, 2)) == -1
+    # and the same numbers halved, through the denominator D
+    assert _surd_floor(1, 70, 2, 2) == 49
+    assert _surd_floor(-140, 99, 2, 2) == 0
+    assert _surd_floor(140, -99, 2, 2) == -1
+
+
+def test_near_integer_decides_both_ways():
+    # dist(1 + 70 sqrt 2, Z) = 0.0050...: within 1/100, not within 1/1000
+    assert _near_integer(1, 70, 2, 1, 100)
+    assert not _near_integer(1, 70, 2, 1, 1000)
+    # dist(99 sqrt 2 - 140, Z) = 0.0071... from below as well
+    assert _near_integer(140, -99, 2, 1, 100)
+    assert not _near_integer(140, -99, 2, 1, 200)
+    # sqrt(2)/2 = 0.7071...: 0.2928... from 1
+    assert _near_integer(0, 1, 2, 2, 3)
+    assert not _near_integer(0, 1, 2, 2, 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fractions_, fractions_, squarefree_, st.integers(1, 100),
+       st.one_of(st.integers(1, 64),
+                 st.builds(pow, st.integers(3, 12), st.integers(1, 100))))
+def test_near_integer_matches_surd_arithmetic(c0, c1, d, s, P):
+    a, b, D = integer_form(QuadSurd(c0, c1, d))
+    expected = (qsurd_dist_to_z(QuadSurd(c0, c1, d) * s)
+                - Fraction(1, P)).sign() < 0
+    assert _near_integer(s * a, s * b, d, D, P) == expected
+
+
+def brute_force_shells(kdim, bound):
+    """Oracle: every vector of [-s, s]^k in lexicographic order, kept
+    when its sup-norm is s and its first nonzero entry positive."""
+    for s in range(1, bound + 1):
+        shell = []
+        for vec in iter_product(range(-s, s + 1), repeat=kdim):
+            if max(abs(x) for x in vec) != s:
+                continue
+            if next(x for x in vec if x) < 0:
+                continue
+            shell.append(vec)
+        yield s, shell
+
+
+@pytest.mark.parametrize("kdim", [1, 2, 3])
+def test_sigma_shells_match_brute_force(kdim):
+    assert list(_sigma_shells(kdim, 8)) == list(brute_force_shells(kdim, 8))
+
+
+def field_element(field, rng):
+    """A random polynomial element of one of the scan's fields."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    if field == QQ:
+        return rational()
+    if isinstance(field, QuadraticField):
+        return QuadSurd(rational(), rational(), field.d)
+    out, power = field.zero(), field.one()
+    for _ in range(rng.randint(0, 3)):
+        out = out + field.coerce(field_element(field.base, rng)) * power
+        power = power * field.gen()
+    return out
+
+
+@pytest.mark.parametrize("field", [QuadraticField(2), build_field(None, "a"),
+                                   build_field(2, "a")],
+                         ids=["sqrt2", "a", "sqrt2-a"])
+def test_sigma_labels_are_labels_of_the_sum(field):
+    import random
+
+    rng = random.Random(41)
+    for _ in range(60):
+        kdim = rng.randint(1, 3)
+        column = [field_element(field, rng) for _ in range(kdim)]
+        sigma = tuple(rng.randint(-4, 4) for _ in range(kdim))
+        total = sum((field.coerce(Fraction(x)) * c
+                     for x, c in zip(sigma, column)), field.zero())
+        assert (_sigma_labels(sigma, [field.q_labels(c) for c in column])
+                == field.q_labels(total))
