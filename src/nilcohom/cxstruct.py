@@ -25,6 +25,7 @@ from .exact.fields import complexify
 from .exact.linalg import (
     Matrix,
     Subspace,
+    check_reduction,
     invert,
     rank_fraction_free,
     reduce_columns,
@@ -286,13 +287,15 @@ def hodge_table(J: AlmostComplexStructure):
     """The full table h^{p,q} as a tuple of rows indexed by p.  One
     column reduction of delbar per total degree: delbar keeps the
     weight, so each pivot column of weight p is one rank of delbar at
-    (p, q)."""
+    (p, q).  Each reduction is verified by ``check_reduction``, which
+    proves the rank of delbar on every F^p and so every count here; a
+    failed certificate raises ``StructureError``."""
     big = J.bigraded
     ranks = Counter()
     for k, cols in big.delbar.items():
-        ws = big.weights[k]
-        pivots, _, _ = reduce_columns(big.field, cols, ws,
-                                      big.weights.get(k + 1, []))
+        ws, wt = big.weights[k], big.weights.get(k + 1, [])
+        pivots, R, V = reduce_columns(big.field, cols, ws, wt)
+        check_reduction(cols, ws, wt, pivots, R, V)
         for j in pivots.values():
             ranks[(ws[j], k - ws[j])] += 1
     m = big.m
@@ -303,7 +306,8 @@ def hodge_table(J: AlmostComplexStructure):
 
 def hodge_table_ranks_oracle(J: AlmostComplexStructure):
     """Same table computed from the independent fraction-free
-    elimination routine, on dense views of the same delbar."""
+    elimination routine, on dense views of the same delbar: a reference
+    for tests and benchmark checks, which no command runs."""
     big = J.bigraded
     table = []
     for p in range(big.m + 1):

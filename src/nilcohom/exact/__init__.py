@@ -26,6 +26,7 @@ from .intlattice import (
 from .linalg import (
     Matrix,
     Subspace,
+    check_reduction,
     invert,
     kernel_basis,
     rank,
@@ -50,8 +51,8 @@ __all__ = [
     "embed", "substitute_parameter",
     "det_int", "integer_kernel", "is_unimodular", "minor_gcd_diagonal",
     "smith_diagonal", "smith_normal_form",
-    "Matrix", "Subspace", "invert", "kernel_basis", "rank",
-    "rank_fraction_free", "reduce_columns", "rref", "solve",
+    "Matrix", "Subspace", "check_reduction", "invert", "kernel_basis",
+    "rank", "rank_fraction_free", "reduce_columns", "rref", "solve",
     "ConvergentSeries", "ExponentPair", "NumberSpec",
     "QuadraticSurd", "convergent_family", "liouville_decimal",
     "power_tower",

@@ -5,6 +5,9 @@ vector, mapping row index to a nonzero entry.  They have one sparse
 product and one elimination, ``reduce_columns``, the persistence-style
 column reduction that gives every rank and spectral page of a
 differential (its rank is the pivot count with all weights zero).
+``check_reduction`` verifies a reduction's output R = D V as a
+certificate of those ranks, at the cost of about one sparse product,
+so no second elimination is needed to trust them.
 
 Matrices act on column vectors.  Dense ``Matrix`` objects carry the
 ambient linear algebra (complex structures, frames, subspaces,
@@ -12,7 +15,7 @@ lattices) and serve as views of a differential for the independent
 references.  ``rref`` (Gauss-Jordan with exact division) drives their
 rank/kernel computations, and ``rank_fraction_free`` is a Bareiss-style
 one-step fraction-free elimination with largest-numerator pivoting,
-kept as a cross-checking oracle.
+kept as an independent oracle for tests and benchmark checks.
 
 ``Subspace`` stores a canonical reduced-row-echelon basis, so equality
 of subspaces is plain equality of bases.
@@ -20,6 +23,7 @@ of subspaces is plain equality of bases.
 
 from __future__ import annotations
 
+from ..errors import StructureError
 from .fields import _inv
 
 
@@ -171,6 +175,12 @@ def sparse_product(a_cols, b_cols):
     return out
 
 
+def _reduction_order(weights):
+    """Indices by decreasing weight, ties by index: the order in which
+    :func:`reduce_columns` takes columns and ranks rows."""
+    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+
+
 def reduce_columns(field, cols, wsrc, wtgt):
     """Persistence reduction R = D V of one differential D, given by its
     sparse columns, with a weight per column (``wsrc``) and per row
@@ -184,10 +194,9 @@ def reduce_columns(field, cols, wsrc, wtgt):
     to 1 at its pivot.  The rank of D is ``len(pivot_col)``.
     """
     one = field.one()
-    row_pos = {i: pos for pos, i in enumerate(
-        sorted(range(len(wtgt)), key=lambda i: (-wtgt[i], i)))}
+    row_pos = {i: pos for pos, i in enumerate(_reduction_order(wtgt))}
     pivot_col, R, V = {}, {}, {}
-    for j in sorted(range(len(cols)), key=lambda j: (-wsrc[j], j)):
+    for j in _reduction_order(wsrc):
         col = dict(cols[j])
         vec = {j: one}
         while col:
@@ -204,6 +213,54 @@ def reduce_columns(field, cols, wsrc, wtgt):
             add_multiple(vec, f, V[other])
         R[j], V[j] = col, vec
     return pivot_col, R, V
+
+
+def check_reduction(cols, wsrc, wtgt, pivot_col, R, V):
+    """Verify the output of :func:`reduce_columns` as a rank certificate
+    (Kaltofen-Nehring-Saunders, *Quadratic-time certificates in linear
+    algebra*, 2011); it costs about one sparse product.
+
+    Raises ``StructureError`` naming the first failing column, in the
+    reduction's order (decreasing weight, ties by index), unless
+      * each V[j] has a nonzero diagonal entry and no entry on a column
+        after j, so V is invertible and, as weights decrease along that
+        order, maps each F^p onto itself;
+      * D V[j] = R[j] for every column;
+      * each nonzero R[j] has its lowest row (the row order of
+        :func:`reduce_columns`) in ``pivot_col``, mapped to j;
+    and the number of nonzero columns of R is ``len(pivot_col)``.
+    Then distinct pivots make the nonzero columns of R independent, so
+    the rank of D on every F^p is the number of pivot columns of weight
+    at least p, and the rank of D is ``len(pivot_col)``.
+    """
+    order = _reduction_order(wsrc)
+    pos = {j: t for t, j in enumerate(order)}
+    row_pos = {i: t for t, i in enumerate(_reduction_order(wtgt))}
+
+    def fail(j, why):
+        raise StructureError(f"rank certificate fails at column {j}: {why}")
+
+    nonzero = 0
+    for j in order:
+        vec, col = V[j], R[j]
+        if not vec.get(j):
+            fail(j, "zero diagonal entry of V")
+        later = next((i for i in vec if pos.get(i, len(order)) > pos[j]),
+                     None)
+        if later is not None:
+            fail(j, f"V has an entry on column {later}, which comes after "
+                    "it in the reduction order")
+        if sparse_product(cols, [vec]) != [col]:
+            fail(j, "D V differs from R")
+        if col:
+            nonzero += 1
+            low = max(col, key=row_pos.__getitem__)
+            if pivot_col.get(low) != j:
+                fail(j, f"its lowest row {low} is not its pivot")
+    if nonzero != len(pivot_col):
+        raise StructureError(
+            f"rank certificate fails: {len(pivot_col)} pivots for "
+            f"{nonzero} nonzero reduced columns")
 
 
 def rref(m: Matrix):

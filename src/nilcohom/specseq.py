@@ -17,11 +17,12 @@ pivot row i) of weight gap r = w(i) - w(j) is one rank of d_r at
 (w(j), k - w(j)); a basis vector of weight p survives to E_r^{p,q}
 when it is unpaired or paired at a gap >= r.  Representatives come
 from the reduction too: the column-operation vector V_j for a column,
-the reduced column R_j = d V_j for the pivot row it ends on.  The
-checks stay independent of the reduction: the stable page is compared
-with the total cohomology from dense ``rank``, and the second page of
-the Lie algebra instance is recomputed as cohomology-of-cohomology by
-dense elimination.
+the reduced column R_j = d V_j for the pivot row it ends on.  Each
+reduction is verified as a rank certificate,
+``exact.linalg.check_reduction``, before it is read; the stable page is
+compared with the total cohomology from the certified ranks, and the
+second page of the Lie algebra instance is recomputed as
+cohomology-of-cohomology by dense elimination.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .exact.linalg import (
     Matrix,
     Subspace,
     add_multiple,
+    check_reduction,
     kernel_basis,
     rank,
     reduce_columns,
@@ -104,18 +106,6 @@ class FilteredComplex:
                 raise StructureError("filtration not preserved by d",
                                      witness=(k, worst))
 
-    def matrix(self, k) -> Matrix:
-        """Dense view of d_k, for the independent references."""
-        return Matrix.from_sparse_columns(self.field, self.d[k],
-                                          self.dims.get(k + 1, 0))
-
-    def total_cohomology(self):
-        """dim H^k by dense elimination (``rank``), independent of the
-        column reduction behind :func:`pages`; each d_k is ranked once."""
-        ranks = {k: rank(self.matrix(k)) for k in self.d}
-        return {k: self.dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
-                for k in self.degrees}
-
 
 class SpectralPages:
     """Computed pages: dimensions per (p, q), differential ranks, the
@@ -151,7 +141,12 @@ class SpectralPages:
 def pages(fc: FilteredComplex) -> SpectralPages:
     """All pages of the spectral sequence of a filtered complex,
     iterated until the differentials vanish on two consecutive pages
-    past the filtration length."""
+    past the filtration length.
+
+    Each d_k is reduced once and its reduction verified by
+    ``check_reduction``, so the pivot counts are proven ranks.  The
+    E_inf totals must equal dim C^k - rank d_k - rank d_{k-1}; a basis
+    vector paired twice breaks that, and raises ``StructureError``."""
     keep_bases_up_to = 2    # pages whose representatives are kept
     zero = fc.field.zero()
     degrees = fc.degrees
@@ -163,11 +158,14 @@ def pages(fc: FilteredComplex) -> SpectralPages:
     rep = {k: [{i: fc.field.one()} for i in range(fc.dims[k])]
            for k in degrees}
     pair_ranks = defaultdict(lambda: defaultdict(int))
+    d_rank = {}     # certified rank of each d_k
     for k in degrees:
         if k not in fc.d:
             continue
-        pivot_col, R, V = reduce_columns(fc.field, fc.d[k], weights[k],
-                                         weights.get(k + 1, []))
+        wsrc, wtgt = weights[k], weights.get(k + 1, [])
+        pivot_col, R, V = reduce_columns(fc.field, fc.d[k], wsrc, wtgt)
+        check_reduction(fc.d[k], wsrc, wtgt, pivot_col, R, V)
+        d_rank[k] = len(pivot_col)
         for j in range(fc.dims[k]):
             if gap[k][j] is None:    # not already the pivot of d_{k-1}
                 rep[k][j] = V[j]
@@ -215,7 +213,8 @@ def pages(fc: FilteredComplex) -> SpectralPages:
         r += 1
 
     e_inf = page_list[-1]
-    totals = fc.total_cohomology()
+    totals = {k: fc.dims[k] - d_rank.get(k, 0) - d_rank.get(k - 1, 0)
+              for k in degrees}
     got = {}
     for (p, q), dim in e_inf.items():
         got[p + q] = got.get(p + q, 0) + dim

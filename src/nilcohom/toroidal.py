@@ -728,9 +728,9 @@ def theta_classify(R: Matrix, param_spec=None, scan_bound=None,
     except PrecisionUnavailable as exc:
         return Undetermined(scan_bound, max_ratio, str(exc))
     if source is not None:
-        return Undetermined(scan_bound, max_ratio,
-                            "convergent ratios not increasing: "
-                            f"{ratios}")
+        why = ("fewer than 3 convergent ratios" if len(ratios) < 3
+               else "convergent ratios not increasing")
+        return Undetermined(scan_bound, max_ratio, f"{why}: {ratios}")
     return Undetermined(scan_bound, max_ratio, "no certificate applies")
 
 

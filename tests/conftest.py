@@ -1,5 +1,7 @@
 import pytest
 
+import nilcohom.cxstruct as cxstruct
+import nilcohom.specseq as specseq
 from nilcohom.cxstruct import AlmostComplexStructure, hodge_table
 from nilcohom.exact import QQ, Subspace, build_field
 from nilcohom.exact.fields import QuadraticField, substitute_parameter
@@ -77,3 +79,22 @@ def substituted_case(h7, value):
     f = Subspace(QQ, 6, F_BASIS)
     f0 = Subspace(QQ, 6, F0_BASIS)
     return h7, L, f, f0
+
+
+@pytest.fixture
+def corrupted_reductions(monkeypatch):
+    """Makes every ``reduce_columns`` behind Hodge tables and spectral
+    pages double its first nonzero reduced column, so that R = D V fails
+    while the pivots and their count stay as they were."""
+    def corrupting(reduce):
+        def corrupted(field, cols, wsrc, wtgt):
+            pivot_col, R, V = reduce(field, cols, wsrc, wtgt)
+            j = next((j for j, col in R.items() if col), None)
+            if j is not None:
+                R[j] = {i: x + x for i, x in R[j].items()}
+            return pivot_col, R, V
+        return corrupted
+
+    for module in (cxstruct, specseq):
+        monkeypatch.setattr(module, "reduce_columns",
+                            corrupting(module.reduce_columns))

@@ -6,9 +6,26 @@ and B_r, built with dense kernels, images, sums and intersections; no
 pairing argument is involved.  The coordinate chains F^p C^k are built
 from the complex's weights.  It is slow (every (r, p, q) rebuilds its
 subspaces), so it is only run on small complexes.
+
+``matrix`` and ``total_cohomology`` are the dense views and the dense
+total cohomology of a filtered complex, for the same comparisons.
 """
 
-from nilcohom.exact.linalg import Subspace, kernel_basis
+from nilcohom.exact.linalg import Matrix, Subspace, kernel_basis, rank
+
+
+def matrix(fc, k):
+    """Dense view of d_k of the filtered complex ``fc``."""
+    return Matrix.from_sparse_columns(fc.field, fc.d[k],
+                                      fc.dims.get(k + 1, 0))
+
+
+def total_cohomology(fc):
+    """dim H^k by dense elimination (``rank``), independent of the
+    column reduction behind ``pages``; each d_k is ranked once."""
+    ranks = {k: rank(matrix(fc, k)) for k in fc.d}
+    return {k: fc.dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
+            for k in fc.degrees}
 
 
 def preimage_under(target, m):
@@ -65,7 +82,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
             return zcache[key]
         base = F(p, k)
         if r >= 1 and k in fc.d:
-            pre = preimage_under(F(p + r, k + 1), fc.matrix(k))
+            pre = preimage_under(F(p + r, k + 1), matrix(fc, k))
             base = base.intersect(pre)
         zcache[key] = base
         return base
@@ -80,7 +97,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
         k = p + q
         src = Z(r - 1, p - r + 1, q + r - 2)
         if (k - 1) in fc.d and src.dim:
-            a = a.sum_(src.image_under(fc.matrix(k - 1)))
+            a = a.sum_(src.image_under(matrix(fc, k - 1)))
         bcache[key] = a
         return a
 
@@ -107,7 +124,7 @@ def oracle_pages(fc, keep_bases_up_to=2):
             if k not in fc.d or not z.dim:
                 continue
             tgt = boundary(r, p + r, q - r + 1)
-            rk = tgt.sum_(z.image_under(fc.matrix(k))).dim - tgt.dim
+            rk = tgt.sum_(z.image_under(matrix(fc, k))).dim - tgt.dim
             if rk:
                 ranks[(p, q)] = rk
                 total_rank += rk

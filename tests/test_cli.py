@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import nilcohom.cxstruct as cxstruct
+import nilcohom.exact.linalg as linalg
 from nilcohom.cli import main
 from nilcohom.exact import QQ
 
@@ -460,3 +461,60 @@ def test_twelve_letter_de_rham(capsys):
     betti = [sum(h3_squared[i] * math.comb(6, k - i)
                  for i in range(7) if 0 <= k - i <= 6) for k in range(13)]
     assert f"betti: {betti}" in out
+
+
+def test_catalog_run_ranks_without_fraction_free_elimination(capsys,
+                                                              monkeypatch):
+    calls = Counter()
+
+    def counting(m):
+        calls["rank_fraction_free"] += 1
+        return real(m)
+
+    real = linalg.rank_fraction_free
+    for module in (cxstruct, linalg):
+        monkeypatch.setattr(module, "rank_fraction_free", counting)
+    code, out, err = run(capsys, "catalog", "run")
+    assert code == 0
+    assert "all checks passed" in out
+    assert calls == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "h7", "--J", "std", "--hodge-table"],
+    ["catalog", "run", "--filter", "kodaira-thurston"],
+])
+def test_corrupted_reduction_exits_3(capsys, corrupted_reductions, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "certificate" in err
+
+
+def test_ten_letter_catalog_file(capsys, tmp_path):
+    f = tmp_path / "cat.json"
+    f.write_text(json.dumps({"entries": [{
+        "name": "g10", "equations": "(0,0,0,0,0,0,0,0,12,34)",
+        "complex_structures": {"std": "std"}}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", "run", "--file", str(f),
+                         "--json")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    checks = json.loads(out)["results"]["g10"]["checks"]
+    assert checks["std:elimination_oracle_agrees"]
+    assert all(checks.values())
+
+
+def test_toroidal_names_too_few_convergent_ratios(capsys, tmp_path):
+    # a power tower from 65536 materialises only 2 convergent ratios,
+    # and they increase; no wild evidence is possible from 2 of them
+    f = tmp_path / "period.json"
+    f.write_text(LEAF_DOC % json.dumps({
+        "type": "convergents", "family": "power-tower", "base": 2,
+        "start": 65536}))
+    code, out, err = run(capsys, "toroidal", str(f), "--scan", "3", "--json")
+    assert code == 0
+    verdict = json.loads(out)["results"]["verdict"]
+    assert verdict["kind"] == "undetermined"
+    assert verdict["reason"].startswith(
+        "fewer than 3 convergent ratios: [0.69")

@@ -50,6 +50,17 @@ PERIODS = {
 }
 SCANS = {"dim3_sqrt2": ["--scan", "10"], "sqrt2_liouville": ["--scan", "3"]}
 
+# catalog file name -> entries: a 6-dim algebra of the benchmark's
+# catalog query and the 8-dim (0,...,0,12,34), both with the standard J
+CATALOGS = {
+    "run_file": [
+        {"name": "g6", "equations": "(0,0,0,12,2*12,-12)",
+         "complex_structures": {"j": "std"}},
+        {"name": "g8", "equations": "(0,0,0,0,0,0,12,34)",
+         "complex_structures": {"j": "std"}},
+    ],
+}
+
 CASES = {
     "hodge_kt": ["cohomology", "kodaira-thurston", "--J", "std",
                  "--hodge-table"],
@@ -70,6 +81,8 @@ CASES = {
     "verify_h7_bad_g0": VERIFY_H7[:-1] + ["Xbar1,Xbar2"],
     **{f"toroidal_{name}": ["toroidal", f"period_{name}.json"]
        + SCANS.get(name, []) for name in PERIODS},
+    **{f"catalog_{name}": ["catalog", "run", "--file", f"catalog_{name}.json"]
+       for name in CATALOGS},
 }
 
 
@@ -81,17 +94,21 @@ def run_case(argv):
     return code, out.getvalue()
 
 
-def write_period_files(directory):
+def write_input_files(directory):
+    """The period and catalog documents the cases read, by file name."""
     for name, (n, numbers, generators) in PERIODS.items():
         with open(os.path.join(directory, f"period_{name}.json"), "w") as fh:
             json.dump({"dimension": n, "numbers": numbers,
                        "generators": generators}, fh)
+    for name, entries in CATALOGS.items():
+        with open(os.path.join(directory, f"catalog_{name}.json"), "w") as fh:
+            json.dump({"entries": entries}, fh)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("NILCOHOM_SCAN_BOUND", raising=False)
-    write_period_files(tmp_path)
+    write_input_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     code, out = run_case(CASES[name])
     assert code == 0
@@ -103,7 +120,7 @@ if __name__ == "__main__":
     os.environ.pop("NILCOHOM_SCAN_BOUND", None)
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        write_period_files(tmp)
+        write_input_files(tmp)
         here = os.getcwd()
         os.chdir(tmp)
         try:

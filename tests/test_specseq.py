@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from specseq_oracle import assert_agrees
+import specseq_oracle
+from specseq_oracle import assert_agrees, total_cohomology
 
 import nilcohom.specseq as specseq
 from nilcohom.cxstruct import (
@@ -13,7 +14,15 @@ from nilcohom.cxstruct import (
 )
 from nilcohom.errors import StructureError
 import nilcohom.exact.linalg as linalg
-from nilcohom.exact import QQ, Matrix, Subspace, invert, rank
+from nilcohom.exact import (
+    QQ,
+    Matrix,
+    Subspace,
+    check_reduction,
+    invert,
+    rank,
+    reduce_columns,
+)
 from nilcohom.liealg import (
     betti_numbers,
     commutator_ideal,
@@ -49,7 +58,7 @@ def test_trivial_filtration_reproduces_cohomology():
     pg = pages(fc)
     assert pg.e_inf_totals() == {0: 1, 1: 1}
     assert pg.page(1) == pg.e_inf
-    assert fc.total_cohomology() == {0: 1, 1: 1}
+    assert total_cohomology(fc) == {0: 1, 1: 1}
 
 
 def test_total_cohomology_ranks_each_differential_once(monkeypatch, h7,
@@ -61,8 +70,8 @@ def test_total_cohomology_ranks_each_differential_once(monkeypatch, h7,
         ranked.append(m)
         return rank(m)
 
-    monkeypatch.setattr(specseq, "rank", counting_rank)
-    assert fc.total_cohomology() == dict(enumerate(betti_numbers(h7)))
+    monkeypatch.setattr(specseq_oracle, "rank", counting_rank)
+    assert total_cohomology(fc) == dict(enumerate(betti_numbers(h7)))
     assert len(ranked) == len(fc.d) == 7
 
 
@@ -75,7 +84,7 @@ def test_total_cohomology_survives_a_broken_reduction(monkeypatch, h7, j0):
 
     for module in (linalg, specseq):
         monkeypatch.setattr(module, "reduce_columns", refuse)
-    assert fc.total_cohomology() == dict(enumerate(b))
+    assert total_cohomology(fc) == dict(enumerate(b))
 
 
 def test_two_step_filtration_zero_differential():
@@ -331,3 +340,106 @@ def filtered_complexes(draw):
 @given(filtered_complexes())
 def test_reduction_matches_oracle_on_random_complexes(fc):
     assert_agrees(pages(fc), fc)
+
+
+# ---------------------------------------------------------------------------
+# rank certificates: exact.linalg.check_reduction
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(filtered_complexes())
+def test_check_reduction_accepts_every_reduction(fc):
+    for k, cols in fc.d.items():
+        wsrc, wtgt = fc.weights[k], fc.weights.get(k + 1, [])
+        check_reduction(cols, wsrc, wtgt,
+                        *reduce_columns(fc.field, cols, wsrc, wtgt))
+
+
+def zeroed_r_column(one, wsrc, pivot_col, R, V):
+    j = min(pivot_col.values())
+    R[j] = {}
+    return j
+
+
+def zero_v_diagonal(one, wsrc, pivot_col, R, V):
+    j = max(pivot_col.values())
+    del V[j][j]
+    return j
+
+
+def v_entry_on_later_column(one, wsrc, pivot_col, R, V):
+    n = len(wsrc)
+    j, i = next((j, i) for j in range(n) for i in range(j + 1, n)
+                if wsrc[i] == wsrc[j])
+    V[j][i] = one
+    return j
+
+
+def dropped_pivot(one, wsrc, pivot_col, R, V):
+    low = min(pivot_col)
+    return pivot_col.pop(low)
+
+
+def v_support_crossing_to_lower_weight(one, wsrc, pivot_col, R, V):
+    n = len(wsrc)
+    j, i = next((j, i) for j in range(n) for i in range(n)
+                if wsrc[i] < wsrc[j])
+    V[j][i] = one
+    return j
+
+
+def extra_pivot(one, wsrc, pivot_col, R, V):
+    low = max(pivot_col) + 1
+    pivot_col[low] = next(j for j, col in R.items() if not col)
+    return None     # no single column fails, only the pivot count
+
+
+TAMPERINGS = [
+    (zeroed_r_column, "D V differs from R"),
+    (zero_v_diagonal, "zero diagonal entry of V"),
+    (v_entry_on_later_column, "comes after it"),
+    (dropped_pivot, "is not its pivot"),
+    (v_support_crossing_to_lower_weight, "comes after it"),
+    (extra_pivot, "pivots for"),
+]
+
+
+@pytest.mark.parametrize("tamper,why", TAMPERINGS,
+                         ids=[tamper.__name__ for tamper, _ in TAMPERINGS])
+def test_check_reduction_rejects_each_tampering(tamper, why):
+    # d_2 of the column-filtered Iwasawa complex, holomorphic degrees 0..2
+    J = AlmostComplexStructure.standard(parse_structure_equations(IWASAWA))
+    fc = bigraded_filtered_complex(J)
+    args = (fc.d[2], fc.weights[2], fc.weights[3])
+    pivot_col, R, V = reduce_columns(fc.field, *args)
+    check_reduction(*args, pivot_col, R, V)
+    j = tamper(fc.field.one(), fc.weights[2], pivot_col, R, V)
+    where = "" if j is None else rf"at column {j}: .*"
+    with pytest.raises(StructureError, match=where + why):
+        check_reduction(*args, pivot_col, R, V)
+
+
+def test_frolicher_ranks_no_differential_densely(monkeypatch, h7, j0):
+    j0.bigraded    # the splitting's own eliminations come first
+    eliminated = []
+
+    def counting(m):
+        eliminated.append((m.nrows, m.ncols))
+        return real_rref(m)
+
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", counting)
+    pg = frolicher(h7, j0)
+    assert pg.e_inf_totals() == dict(enumerate(betti_numbers(h7)))
+    assert eliminated == []
+
+
+def test_corrupted_reduction_is_refused(h7, corrupted_reductions):
+    J = AlmostComplexStructure.standard(h7)
+    with pytest.raises(StructureError, match="certificate"):
+        hodge_table(J)
+    with pytest.raises(StructureError, match="certificate"):
+        frolicher(h7, J)
+    with pytest.raises(StructureError, match="certificate"):
+        hochschild_serre(h7, J, span_of_frame(J, ["Xbar1", "Xbar3"]), 0)
