@@ -6,6 +6,9 @@ The package is organised in layers:
 * :mod:`nilcohom.exact` -- exact scalar fields, sparse differentials
   and dense linear algebra, integer lattice algorithms, certified real
   enclosures.
+* :mod:`nilcohom.formats` -- the readers of every input: JSON files,
+  declared numbers and their text forms, generator documents, and the
+  scanner the text grammars share.
 * :mod:`nilcohom.liealg` -- structure-equation parsing, Chevalley-
   Eilenberg cohomology, rational structures and lattices.
 * :mod:`nilcohom.cxstruct` -- complex structures, integrability, the

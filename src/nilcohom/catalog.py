@@ -17,8 +17,9 @@ Catalog files are JSON documents:
 
 Complex-structure specs are ``"std"`` (the pairing J e_{2i-1} = e_{2i}),
 ``"pairs:1-2,3-4,..."``, or an explicit matrix as a JSON list of rows.
-Lattice documents share the number declarations and entry grammar of
-period documents, restricted to real entries.
+Catalog and lattice files are read by :mod:`nilcohom.formats`, as are
+the numbers and generators of a lattice document, which are those of a
+period document restricted to real entries.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from .errors import (
     input_errors_as_parse_error,
 )
 from .exact.linalg import Matrix
-from .exact.numbers import QuadraticSurd, convergent_family
-from .liealg import LieAlgebra, QStructure, parse_structure_equations
-from .toroidal import (
-    _parse_entry_expr,
-    number_declarations,
-    number_spec_from_document,
+from .formats import (
+    load_json,
+    parse_number_override,  # noqa: F401  (also read at this path)
+    read_generators,
 )
+from .liealg import LieAlgebra, QStructure, parse_structure_equations
 
 
 class CatalogEntry:
@@ -92,14 +92,7 @@ ALIASES = {"kt": "kodaira-thurston"}
 
 
 def load_catalog_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"malformed catalog file (line {exc.lineno}): {exc.msg}")
-    except OSError as exc:
-        raise ParseError(f"cannot read catalog file: {exc}")
+    doc = load_json(path, "catalog")
     entries = []
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError("catalog file must be an object with 'entries'")
@@ -160,60 +153,20 @@ def resolve_complex_structure(g: LieAlgebra, spec) -> AlmostComplexStructure:
         g, Matrix(g.field, [[Fraction(x) for x in r] for r in spec]))
 
 
-@input_errors_as_parse_error("--param value")
-def parse_number_override(text):
-    """CLI value specs: '1/2', 'sqrt:2', 'quadratic:A,B,C[,root]',
-    'formal', 'liouville10', 'power-tower[:base,start]'; read into the
-    values of :func:`number_spec_from_document`."""
-    text = text.strip()
-    if text == "formal":
-        return None
-    if text.startswith("sqrt:"):
-        return QuadraticSurd(1, 0, -int(text[5:]), "plus")
-    if text.startswith("quadratic:"):
-        parts = text[len("quadratic:"):].split(",")
-        A, B, C = (int(x) for x in parts[:3])
-        return QuadraticSurd(A, B, C, parts[3] if len(parts) > 3 else "plus")
-    if text == "liouville10" or text.startswith("power-tower"):
-        return convergent_family(text)
-    return Fraction(text)
-
-
 @input_errors_as_parse_error("lattice document")
 def lattice_from_document(doc, g: LieAlgebra, overrides=None) -> QStructure:
     """The rational structure of a lattice document: generators over
     the tower of its number declarations, with optional parameter
-    substitutions from the command line.  ``g`` keeps its own field."""
-    overrides = overrides or {}
-    declared = doc.get("numbers", {})
-    for name in overrides:
-        if name not in declared:
-            raise ParseError(f"no declared number {name!r} to substitute")
-    numbers = {name: parse_number_override(overrides[name])
-               if name in overrides else number_spec_from_document(number)
-               for name, number in declared.items()}
-    field, cfield, symbols, param_spec = number_declarations(numbers)
+    substitutions from the command line (name -> text).  ``g`` keeps
+    its own field."""
+    field, rows, param_spec = read_generators(doc, g.n, overrides)
     gens = []
-    for row in doc["generators"]:
-        if len(row) != g.n:
-            raise ParseError("lattice generator has the wrong length")
-        vec = []
-        for x in row:
-            val = _parse_entry_expr(str(x), cfield, symbols)
-            if val.im:
-                raise ParseError("lattice entries must be real")
-            vec.append(val.re)
-        gens.append(vec)
+    for row in rows:
+        if any(x.im for x in row):
+            raise ParseError("lattice entries must be real")
+        gens.append([x.re for x in row])
     return QStructure(g, field, gens, param_spec)
 
 
 def load_lattice_file(path, g: LieAlgebra, overrides=None) -> QStructure:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"malformed lattice file (line {exc.lineno}): {exc.msg}")
-    except OSError as exc:
-        raise ParseError(f"cannot read lattice file: {exc}")
-    return lattice_from_document(doc, g, overrides)
+    return lattice_from_document(load_json(path, "lattice"), g, overrides)

@@ -47,7 +47,7 @@ from .errors import (
     input_errors_as_parse_error,
 )
 from .exact.linalg import Subspace
-from .exact.numbers import convergent_family
+from .formats import convergent_family, load_json
 from .liealg import (
     betti_numbers,
     check_letter_count,
@@ -57,7 +57,7 @@ from .liealg import (
 )
 from .toroidal import (
     DEFAULT_SCAN_BOUND,
-    load_period_file,
+    period_data_from_document,
     remmert_morimoto,
     theta_classify,
     toroidal_normalize,
@@ -193,20 +193,11 @@ def cmd_cohomology(args) -> int:
     return EXIT_OK
 
 
-def _verdict_payload(verdict):
-    return verdict.as_dict()
-
-
-@input_errors_as_parse_error("--convergents value")
-def _convergent_source(spec):
-    return convergent_family(spec)
-
-
 def cmd_toroidal(args) -> int:
     scan = scan_bound(args)
-    source = (_convergent_source(args.convergents) if args.convergents
+    source = (convergent_family(args.convergents) if args.convergents
               else None)
-    pd = load_period_file(args.period_file)
+    pd = period_data_from_document(load_json(args.period_file, "period"))
     nf = toroidal_normalize(pd)
     rm = remmert_morimoto(nf)
     results = {
@@ -239,7 +230,7 @@ def cmd_toroidal(args) -> int:
     ]
     verdict = theta_classify(nf.R, pd.param_spec, scan_bound=scan,
                              convergent_source=source)
-    results["verdict"] = _verdict_payload(verdict)
+    results["verdict"] = verdict.as_dict()
     lines.append(f"verdict: {verdict!r}")
     emit(make_report("toroidal",
                      {"period_file": args.period_file, "scan": scan,
@@ -301,7 +292,7 @@ def cmd_verify_theorem(args) -> int:
             "lattice_rank": len(report.leaf.lattice_coeffs),
         }
         if report.leaf.theta is not None:
-            results["leaf"]["theta"] = _verdict_payload(report.leaf.theta)
+            results["leaf"]["theta"] = report.leaf.theta.as_dict()
     lines = [f"algebra: {args.algebra}"]
     for name, status, detail in report.items:
         mark = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[status]

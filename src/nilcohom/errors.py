@@ -7,7 +7,7 @@ class NilcohomError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(NilcohomError):
+class ParseError(NilcohomError, ValueError):
     """Malformed input text; carries the character position when known."""
 
     def __init__(self, message, position=None):
@@ -39,12 +39,14 @@ def input_errors_as_parse_error(what):
     the arithmetic and lookup errors a malformed document raises
     (division by zero, bad literals, missing keys or indices, wrong types,
     such as a list where an object belongs) become a ParseError naming
-    ``what``."""
+    ``what``; a ParseError passes unchanged."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
+            except ParseError:
+                raise
             except (ZeroDivisionError, ValueError, LookupError, TypeError,
                     AttributeError) as exc:
                 if isinstance(exc, KeyError):

@@ -40,7 +40,6 @@ from .numbers import (
     ExponentPair,
     NumberSpec,
     QuadraticSurd,
-    convergent_family,
     liouville_decimal,
     power_tower,
 )
@@ -54,6 +53,5 @@ __all__ = [
     "Matrix", "Subspace", "check_reduction", "invert", "kernel_basis",
     "rank", "rank_fraction_free", "reduce_columns", "rref", "solve",
     "ConvergentSeries", "ExponentPair", "NumberSpec",
-    "QuadraticSurd", "convergent_family", "liouville_decimal",
-    "power_tower",
+    "QuadraticSurd", "liouville_decimal", "power_tower",
 ]

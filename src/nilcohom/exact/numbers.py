@@ -316,7 +316,7 @@ def liouville_decimal() -> ConvergentSeries:
     return ConvergentSeries(gen, "sum 10^-10^(k!)")
 
 
-def power_tower(base: int = 2, start: int = 4) -> ConvergentSeries:
+def power_tower(base: int, start: int) -> ConvergentSeries:
     """sum_k 1/q_k with q_1 = start, q_{k+1} = base**q_k.
 
     Denominators grow as an exponential tower, so the partial sums
@@ -352,20 +352,3 @@ def power_tower(base: int = 2, start: int = 4) -> ConvergentSeries:
 
     return ConvergentSeries(
         gen, f"sum 1/q_k, q_(k+1)={base}^q_k, q_1={start}")
-
-
-def convergent_family(spec: str) -> ConvergentSeries:
-    """Parse a convergent-source spec: ``liouville10`` or
-    ``power-tower[:base[,start]]``."""
-    name, _, args = spec.partition(":")
-    name = name.strip()
-    if name == "liouville10":
-        return liouville_decimal()
-    if name == "power-tower":
-        if args:
-            parts = [int(a) for a in args.split(",")]
-            base = parts[0]
-            start = parts[1] if len(parts) > 1 else base ** 2
-            return power_tower(base, start)
-        return power_tower()
-    raise ValueError(f"unknown convergent family: {name!r}")

@@ -37,6 +37,7 @@ from .exact.linalg import (
     kernel_basis,
     reduce_columns,
 )
+from .formats import Scanner
 
 
 def wedge_merge(u, v):
@@ -211,166 +212,108 @@ class LieAlgebra:
 # structure-equation text format
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def read_digits(self):
-        self.skip_ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and "0" <= self.text[self.pos] <= "9"):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected digits", start)
-        return self.text[start:self.pos], start
+def _digit_pair(digits, pos):
+    if len(digits) != 2:
+        raise ParseError("wedge pair must be exactly two digits (use [i,j] "
+                         "for dimensions above 9)", pos)
+    return (int(digits[0]), pos), (int(digits[1]), pos)
 
 
-def _parse_pair(sc: _Scanner, n: int):
+def _parse_pair(sc: Scanner):
+    """A wedge pair ``ij`` or ``[i,j]``: each index with the position
+    it was read at."""
+    if sc.peek() != "[":
+        return _digit_pair(*sc.read_digits())
+    sc.take()
+    i = sc.read_digits()
+    sc.expect(",")
+    j = sc.read_digits()
+    sc.expect("]")
+    return (int(i[0]), i[1]), (int(j[0]), j[1])
+
+
+def _parse_term(sc: Scanner):
+    """One term ``ij``, ``[i,j]``, ``c*ij`` or ``p/q*ij``: its rational
+    coefficient and wedge pair."""
     if sc.peek() == "[":
-        sc.expect("[")
-        si, pos_i = sc.read_digits()
-        sc.expect(",")
-        sj, pos_j = sc.read_digits()
-        sc.expect("]")
-        i, j = int(si), int(sj)
-    else:
-        digits, pos_i = sc.read_digits()
-        if len(digits) != 2:
-            raise ParseError(
-                "wedge pair must be exactly two digits (use [i,j] for "
-                "dimensions above 9)", pos_i)
-        i, j = int(digits[0]), int(digits[1])
-        pos_j = pos_i
-    for idx, pos in ((i, pos_i), (j, pos_j)):
-        if not 1 <= idx <= n:
-            raise ParseError(f"index {idx} out of range 1..{n}", pos)
-    if i == j:
-        raise ParseError(f"repeated index {i} in wedge pair", pos_i)
-    return i, j
+        return Fraction(1), _parse_pair(sc)
+    digits, pos = sc.read_digits()
+    if sc.peek() == "/":
+        sc.take()
+        den, dpos = sc.read_digits()
+        if int(den) == 0:
+            raise ParseError("zero denominator", dpos)
+        sc.expect("*")
+        return Fraction(int(digits), int(den)), _parse_pair(sc)
+    if sc.peek() == "*":
+        sc.take()
+        return Fraction(int(digits)), _parse_pair(sc)
+    return Fraction(1), _digit_pair(digits, pos)
 
 
-def _parse_entry(sc: _Scanner, n: int):
-    """Parse one tuple entry into a dict (i,j) -> rational coefficient
-    of e^i ^ e^j (1-based, i < j)."""
-    terms = {}
-    sign = 1
-    if sc.peek() == "0":
+def _parse_entry(sc: Scanner):
+    """The signed terms of one tuple entry, up to the ',' or ')' that
+    ends it."""
+    ch = sc.peek()
+    if ch == "":
+        raise ParseError("unterminated tuple", len(sc.text))
+    if ch in (",", ")"):
+        raise ParseError("empty entry", sc.pos)
+    if ch == "0":
         save = sc.pos
         sc.take()
         if sc.peek() in (",", ")", ""):
-            return terms
+            return []
         sc.pos = save
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
+    terms = []
+    sign = -1 if sc.peek() in ("+", "-") and sc.take() == "-" else 1
     while True:
-        coeff = Fraction(1)
-        if sc.peek() == "[":
-            i, j = _parse_pair(sc, n)
-        else:
-            digits, pos = sc.read_digits()
-            if sc.peek() == "/":
-                sc.take()
-                den, dpos = sc.read_digits()
-                if int(den) == 0:
-                    raise ParseError("zero denominator", dpos)
-                coeff = Fraction(int(digits), int(den))
-                sc.expect("*")
-                i, j = _parse_pair(sc, n)
-            elif sc.peek() == "*":
-                sc.take()
-                coeff = Fraction(int(digits))
-                i, j = _parse_pair(sc, n)
-            else:
-                if len(digits) != 2:
-                    raise ParseError(
-                        "wedge pair must be exactly two digits (use [i,j] "
-                        "for dimensions above 9)", pos)
-                i, j = _parse_pair(_Scanner(digits), n)
-                for idx in (i, j):
-                    if not 1 <= idx <= n:
-                        raise ParseError(f"index {idx} out of range 1..{n}",
-                                         pos)
-        if i > j:
-            i, j, coeff = j, i, -coeff
-        key = (i, j)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+        coeff, pair = _parse_term(sc)
+        terms.append((sign * coeff, pair))
         nxt = sc.peek()
         if nxt in (",", ")", ""):
-            break
-        if nxt not in "+-":
+            return terms
+        if nxt not in ("+", "-"):
             raise ParseError(f"unexpected character {nxt!r}", sc.pos)
         sign = -1 if sc.take() == "-" else 1
-    return {k: v for k, v in terms.items() if v}
 
 
 def parse_structure_equations(text: str, field=QQ) -> LieAlgebra:
     """Parse the tuple notation into a validated Lie algebra.
 
     Raises :class:`ParseError` on malformed text or out-of-range
-    indices, :class:`StructureError` (with the offending triple) when
-    the Jacobi identity fails.
+    indices, with the position in ``text``, and
+    :class:`StructureError` (with the offending triple) when the Jacobi
+    identity fails.
     """
-    sc = _Scanner(text)
+    sc = Scanner(text)
     sc.expect("(")
-    entries_text = []
-    depth = 1
-    start = sc.pos
-    # first pass only counts entries so index bounds are known
+    entries = []
     while True:
-        if sc.pos >= len(sc.text):
-            raise ParseError("unterminated tuple", len(text))
-        ch = sc.text[sc.pos]
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            entries_text.append((sc.text[start:sc.pos], start))
-            start = sc.pos + 1
-        elif ch == ")" and depth == 1:
-            entries_text.append((sc.text[start:sc.pos], start))
-            sc.pos += 1
+        entries.append(_parse_entry(sc))
+        ch = sc.take()
+        if ch == ")":
             break
-        sc.pos += 1
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing input after tuple", sc.pos)
-    n = len(entries_text)
+        if ch != ",":
+            raise ParseError("unterminated tuple", len(text))
+    sc.finish("after tuple")
+    # the indices are bounded by the number of entries, known only now
+    n = len(entries)
     constants = {}
-    for k, (chunk, offset) in enumerate(entries_text):
-        sub = _Scanner(chunk)
-        if not sub.peek():
-            raise ParseError("empty entry", offset)
-        try:
-            terms = _parse_entry(sub, n)
-        except ParseError as exc:
-            raise ParseError(str(exc).split(" (at position")[0],
-                             offset + (exc.position or 0)) from None
-        sub.skip_ws()
-        if sub.pos != len(chunk.rstrip()):
-            raise ParseError("unexpected trailing text in entry",
-                             offset + sub.pos)
+    for k, entry in enumerate(entries):
+        terms = {}
+        for coeff, ((i, pos_i), (j, pos_j)) in entry:
+            for idx, pos in ((i, pos_i), (j, pos_j)):
+                if not 1 <= idx <= n:
+                    raise ParseError(f"index {idx} out of range 1..{n}", pos)
+            if i == j:
+                raise ParseError(f"repeated index {i} in wedge pair", pos_i)
+            if i > j:
+                i, j, coeff = j, i, -coeff
+            terms[(i, j)] = terms.get((i, j), Fraction(0)) + coeff
         for (i, j), coeff in terms.items():
+            if not coeff:
+                continue
             pair = (i - 1, j - 1)
             constants.setdefault(pair, {})
             # d e^k = sum coeff e^{ij}  <=>  c_{ij}^k = -coeff

@@ -109,7 +109,8 @@ class FilteredComplex:
 
 class SpectralPages:
     """Computed pages: dimensions per (p, q), differential ranks, the
-    stable page, and explicit representative bases for r <= 2."""
+    stable page, and explicit representative bases for r <= 2, each
+    vector a sparse dict (basis index -> nonzero coefficient)."""
 
     def __init__(self, pages, d_ranks, e_inf, stabilized_at,
                  total_cohomology, bases):
@@ -148,7 +149,6 @@ def pages(fc: FilteredComplex) -> SpectralPages:
     E_inf totals must equal dim C^k - rank d_k - rank d_{k-1}; a basis
     vector paired twice breaks that, and raises ``StructureError``."""
     keep_bases_up_to = 2    # pages whose representatives are kept
-    zero = fc.field.zero()
     degrees = fc.degrees
     pmax = fc.plevels
     weights = fc.weights
@@ -199,9 +199,7 @@ def pages(fc: FilteredComplex) -> SpectralPages:
             alive = survivors(r, p, q)
             table[(p, q)] = len(alive)
             if r <= keep_bases_up_to and alive:
-                n = fc.dims[p + q]
-                reps[(p, q)] = [tuple(rep[p + q][i].get(t, zero)
-                                      for t in range(n)) for i in alive]
+                reps[(p, q)] = [rep[p + q][i] for i in alive]
         ranks = dict(pair_ranks.get(r, {}))
         page_list.append(table)
         rank_list.append(ranks)

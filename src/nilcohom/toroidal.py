@@ -17,61 +17,31 @@ Within that declared model everything here is exactly decidable:
   irrational entry is a quadratic surd, and evidence-graded through
   certified enclosures and convergent growth ratios otherwise.
 
-Period document format (JSON):
-
-    {
-      "dimension": 2,
-      "numbers": {
-        "a": {"type": "sqrt", "d": 2}
-             | {"type": "quadratic", "poly": [A, B, C], "root": "plus"}
-             | {"type": "rational", "value": "1/2"}
-             | {"type": "formal"}
-             | {"type": "convergents", "family": "liouville10"}
-             | {"type": "convergents", "family": "power-tower",
-                "base": 2, "start": 4}
-      },
-      "generators": [["1", "0"], ["0", "1"], ["a", "i"]]
-    }
-
-Generator entries use the grammar
-
-    expr   := term (("+" | "-") term)*
-    term   := factor ("*" factor)*
-    factor := rational | "i" | name | "(" expr ")" | "-" factor
-    rational := digits ["/" digits]
-
-with at most one quadratic field and at most one formal/convergent
-parameter declared (field towers are two levels deep at most); several
-quadratic numbers may share the one field, like sqrt:2 and sqrt:8.
+Period data are read from period documents by
+:func:`period_data_from_document`; the document format and its entry
+grammar are in :mod:`nilcohom.formats`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
 from .errors import (
-    ParseError,
     PrecisionUnavailable,
     StructureError,
     UnsupportedError,
     input_errors_as_parse_error,
 )
-from .exact.fields import (
-    QQ,
-    QuadSurd,
-    QuadraticField,
-    build_field,
-    complexify,
-)
+from .exact.fields import QQ, QuadraticField, complexify
 from .exact.intlattice import (
     hermite_row,
     integer_kernel,
     rational_rows_to_integer,
 )
 from .exact.linalg import Matrix, Subspace, invert, rank, solve
-from .exact.numbers import QuadraticSurd, convergent_family
+from .exact.numbers import QuadraticSurd
+from .formats import read_generators
 
 DEFAULT_SCAN_BOUND = 1000
 
@@ -914,189 +884,13 @@ def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# period document parsing
-
-
-@input_errors_as_parse_error("generator entry")
-def _parse_entry_expr(text: str, cfield, symbols):
-    """Parse a generator entry in the documented grammar."""
-    pos = 0
-
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def peek():
-        skip()
-        return text[pos] if pos < len(text) else ""
-
-    def parse_expr():
-        nonlocal pos
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-        val = parse_term()
-        if sign < 0:
-            val = -val
-        while peek() in ("+", "-"):
-            op = text[pos]
-            pos += 1
-            rhs = parse_term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def parse_term():
-        nonlocal pos
-        val = parse_factor()
-        while peek() == "*":
-            pos += 1
-            val = val * parse_factor()
-        return val
-
-    def parse_factor():
-        nonlocal pos
-        ch = peek()
-        if ch == "-":
-            pos += 1
-            return -parse_factor()
-        if ch == "(":
-            pos += 1
-            val = parse_expr()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            return val
-        if ch == "i":
-            nxt = text[pos + 1] if pos + 1 < len(text) else ""
-            if not (nxt.isalnum() or nxt == "_"):
-                pos += 1
-                return cfield.i()
-        if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            num = int(text[start:pos])
-            if peek() == "/":
-                pos += 1
-                dstart = pos
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-                if dstart == pos:
-                    raise ParseError("expected denominator digits", pos)
-                return cfield.coerce(Fraction(num, int(text[dstart:pos])))
-            return cfield.from_int(num)
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < len(text) and (text[pos].isalnum()
-                                       or text[pos] == "_"):
-                pos += 1
-            name = text[start:pos]
-            if name not in symbols:
-                raise ParseError(f"unknown symbol {name!r}", start)
-            return symbols[name]
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    val = parse_expr()
-    skip()
-    if pos != len(text):
-        raise ParseError("trailing input in entry", pos)
-    return val
-
-
-@input_errors_as_parse_error("number")
-def number_spec_from_document(doc):
-    """The value of a number document: a Fraction, a QuadraticSurd, a
-    ConvergentSeries, or None for a formal number."""
-    kind = doc.get("type")
-    if kind == "rational":
-        return Fraction(doc["value"])
-    if kind == "sqrt":
-        return QuadraticSurd(1, 0, -int(doc["d"]), "plus")
-    if kind == "quadratic":
-        A, B, C = (int(x) for x in doc["poly"])
-        return QuadraticSurd(A, B, C, doc.get("root", "plus"))
-    if kind == "formal":
-        return None
-    if kind == "convergents":
-        fam = doc.get("family")
-        if fam == "power-tower":
-            from .exact.numbers import power_tower
-
-            return power_tower(int(doc.get("base", 2)),
-                               int(doc.get("start", 4)))
-        return convergent_family(fam)
-    raise ParseError(f"unknown number type {kind!r}")
-
-
-def number_declarations(numbers):
-    """Read declared numbers, a name -> value map in the kinds of
-    :func:`number_spec_from_document`, into (field, cfield, symbols,
-    param_spec).
-
-    ``field`` is the real tower Q [ (sqrt d) ] [ (parameter) ] and
-    ``cfield`` its complexification.  Several quadratic numbers may be
-    declared when they share one field Q(sqrt d); at most one formal or
-    convergent parameter may be.  ``symbols`` maps each declared name
-    to its element of ``cfield``, and ``param_spec`` is the series
-    bound to the parameter (None when it is formal or absent).
-    """
-    surd_d = None
-    param_name = None
-    param_spec = None
-    values = {}
-    for name, number in sorted(numbers.items()):
-        if isinstance(number, Fraction):
-            values[name] = number
-        elif isinstance(number, QuadraticSurd):
-            u, v, d = number.quad_field_coords()
-            if surd_d is not None and surd_d != d:
-                raise UnsupportedError(
-                    "at most one quadratic extension is supported (field "
-                    "towers are two levels deep)")
-            surd_d = d
-            values[name] = QuadSurd(u, v, d)
-        else:
-            if param_name is not None:
-                raise UnsupportedError(
-                    "at most one formal/convergent parameter is supported")
-            param_name, param_spec = name, number
-    field = build_field(surd_d, param_name)
-    cfield = complexify(field)
-    symbols = {}
-    for name, value in values.items():
-        if isinstance(value, QuadSurd) and param_name is not None:
-            value = field.coerce(field.base.coerce(value))
-        symbols[name] = cfield.coerce(value)
-    if param_name is not None:
-        symbols[param_name] = cfield.coerce(field.gen())
-    return field, cfield, symbols, param_spec
+# period documents
 
 
 @input_errors_as_parse_error("period document")
 def period_data_from_document(doc) -> PeriodData:
-    """Build period data from a parsed JSON document; see the module
-    docstring for the grammar."""
+    """Period data of a parsed period document; the format is in
+    :mod:`nilcohom.formats`."""
     n = int(doc["dimension"])
-    field, cfield, symbols, param_spec = number_declarations(
-        {name: number_spec_from_document(number)
-         for name, number in doc.get("numbers", {}).items()})
-    gens = []
-    for row in doc["generators"]:
-        if len(row) != n:
-            raise ParseError("generator row has the wrong length")
-        gens.append([_parse_entry_expr(str(x), cfield, symbols)
-                     for x in row])
-    return PeriodData(field, n, gens, param_spec)
-
-
-def load_period_file(path) -> PeriodData:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed period file: {exc}") from None
-    except OSError as exc:
-        raise ParseError(f"cannot read period file: {exc}") from None
-    return period_data_from_document(doc)
+    field, rows, param_spec = read_generators(doc, n)
+    return PeriodData(field, n, rows, param_spec)

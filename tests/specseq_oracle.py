@@ -151,7 +151,10 @@ def assert_agrees(pg, fc):
     assert pg.stabilized_at == oracle.stabilized_at
     for r, reps in pg.bases.items():
         assert set(reps) == set(oracle.bases[r])
-        for (p, q), vecs in reps.items():
+        for (p, q), sparse in reps.items():
+            n = fc.dims[p + q]
+            vecs = [tuple(v.get(t, fc.field.zero()) for t in range(n))
+                    for v in sparse]
             z = oracle.Z(r, p, q)
             denom = oracle.boundary(r, p, q)
             assert all(z.contains(v) for v in vecs)

@@ -113,7 +113,7 @@ def test_toroidal_witness_reported(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["bogus", "power-tower:x",
-                                  "power-tower:2,6"])
+                                  "power-tower:2,6", "sqrt:2"])
 def test_toroidal_bad_convergents_exit_2(capsys, tmp_path, spec):
     f = tmp_path / "period.json"
     f.write_text(LEAF_DOC % '{"type": "formal"}')
@@ -270,6 +270,19 @@ def test_catalog_malformed_file_exit_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("kind", ["period", "lattice", "catalog"])
+def test_malformed_files_share_one_message(capsys, tmp_path, kind):
+    f = tmp_path / f"{kind}.json"
+    f.write_text('{"numbers": {},\n  "generators" [[1]]}')
+    argv = {"period": ["toroidal", str(f)],
+            "lattice": [x if x != "builtin:example-a" else str(f)
+                        for x in VERIFY_ARGS],
+            "catalog": ["catalog", "run", "--file", str(f)]}[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: malformed {kind} file (line 2): ")
+
+
 def test_catalog_user_file(capsys, tmp_path):
     f = tmp_path / "cat.json"
     f.write_text(json.dumps({"entries": [{
@@ -326,6 +339,8 @@ def test_bad_scan_bound_exit_2(capsys, tmp_path, monkeypatch, env, argv,
     ('{"type": "quadratic", "poly": [1, 0, -4]}', "a"),
     ('{"type": "quadratic", "poly": [1, 0, 4]}', "a"),
     ('{"type": "quadratic"}', "a"),
+    ('{"type": "convergents"}', "a"),
+    ('{"type": "convergents", "family": "power-tower:3"}', "a"),
 ])
 def test_toroidal_bad_numbers_exit_2(capsys, tmp_path, number, entry):
     f = tmp_path / "period.json"
@@ -338,7 +353,8 @@ def test_toroidal_bad_numbers_exit_2(capsys, tmp_path, number, entry):
     assert err.startswith("error: malformed")
 
 
-@pytest.mark.parametrize("param", ["a=sqrt:4", "a=sqrt:x", "a=1/0"])
+@pytest.mark.parametrize("param", ["a=sqrt:4", "a=sqrt:x", "a=1/0",
+                                   "a=power-tower:2,8,9"])
 def test_verify_theorem_bad_param_exit_2(capsys, param):
     code, out, err = run(capsys, *VERIFY_ARGS, "--param", param)
     assert code == 2

@@ -7,10 +7,10 @@ from nilcohom.exact.numbers import (
     ConvergentSeries,
     ExponentPair,
     QuadraticSurd,
-    convergent_family,
     liouville_decimal,
     power_tower,
 )
+from nilcohom.formats import convergent_family
 
 
 def test_sqrt2_enclosure_contains_convergent_window():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import substituted_case
-from nilcohom.catalog import parse_number_override
 from nilcohom.cxstruct import AlmostComplexStructure
 from nilcohom.errors import (
     ParseError,
@@ -22,6 +21,7 @@ from nilcohom.exact.numbers import (
     liouville_decimal,
     power_tower,
 )
+from nilcohom.formats import number_spec_from_document, parse_number_override
 from nilcohom.toroidal import (
     _near_integer,
     _sigma_labels,
@@ -35,7 +35,6 @@ from nilcohom.toroidal import (
     check_irrationality,
     hausdorff_hodge,
     leaf_analysis,
-    number_spec_from_document,
     period_data_from_document,
     remmert_morimoto,
     theta_classify,
@@ -367,6 +366,8 @@ def number_key(value):
       "start": 9}),
     ("liouville10", {"type": "convergents", "family": "liouville10"}),
     ("formal", {"type": "formal"}),
+    ("power-tower:3",
+     {"type": "convergents", "family": "power-tower", "base": 3}),
 ])
 def test_param_text_reads_as_its_document(text, doc):
     assert (number_key(parse_number_override(text))
