@@ -211,8 +211,7 @@ def cmd_toroidal(args) -> int:
             "P": [[str(x) for x in row] for row in nf.P.rows],
         },
         "remmert_morimoto": {"a": rm.a, "b": rm.b,
-                             "toroidal_dim":
-                                 rm.toroidal.n if rm.toroidal else 0},
+                             "toroidal_dim": rm.toroidal_dim},
     }
     lines = [
         f"period file: {args.period_file}",
@@ -226,7 +225,8 @@ def cmd_toroidal(args) -> int:
         + ("; ".join(", ".join(str(x) for x in row) for row in nf.P.rows)
            or "(empty)"),
         f"splitting: C^{rm.a} x (C*)^{rm.b} x "
-        + (f"toroidal(dim {rm.toroidal.n})" if rm.toroidal else "(nothing)"),
+        + (f"toroidal(dim {rm.toroidal_dim})" if rm.toroidal_dim
+           else "(nothing)"),
     ]
     verdict = theta_classify(nf.R, pd.param_spec, scan_bound=scan,
                              convergent_source=source)

@@ -460,7 +460,6 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
 
     Unknown subcases are reported as undetermined, never guessed.
     """
-    from .liealg import rational_intersection
     from .toroidal import leaf_analysis
 
     items = []
@@ -495,7 +494,9 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
         return ConjectureReport(items, f"{VERDICT_NOT_APPLICABLE}: "
                                 "diagram is not exact")
 
-    dim_int, _, _ = rational_intersection(L, f)
+    # the rank of the leaf lattice is the dimension of f's rational points
+    leaf = leaf_analysis(g, J, L, f, scan_bound=scan_bound)
+    dim_int = len(leaf.lattice_coeffs)
     rational = dim_int == f.dim
     items.append(("f Gamma-rational", "pass" if rational else "info",
                   f"rational points span dimension {dim_int} of {f.dim}"))
@@ -506,7 +507,6 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
                 "non-torus base; base conjecture assumed, not certified")
         return ConjectureReport(items, VERDICT_FIBRATION)
 
-    leaf = leaf_analysis(g, J, L, f, scan_bound=scan_bound)
     items.append(("leaf classification", "info", leaf.classification))
     if leaf.classification.startswith("toroidal"):
         if not quotient_abelian:
@@ -517,8 +517,6 @@ def conjecture_status(g: LieAlgebra, J: AlmostComplexStructure, L,
             items,
             f"{VERDICT_APPLIES} (foliation case; leaf {leaf.classification})",
             leaf)
-    if leaf.classification == "compact torus":
-        return ConjectureReport(items, VERDICT_FIBRATION, leaf)
     return ConjectureReport(
         items, f"{VERDICT_UNDETERMINED}: leaf is {leaf.classification}",
         leaf)

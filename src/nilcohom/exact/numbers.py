@@ -250,9 +250,9 @@ class QuadraticSurd(NumberSpec):
 class ConvergentSeries(NumberSpec):
     """A real number known through certified convergents.
 
-    ``source`` is a zero-argument callable returning a fresh finite
-    iterator of triples ``(p_k, q_k, eps_k)`` with
-    ``|x - p_k/q_k| <= eps_k`` and ``eps_k`` an :class:`ExponentPair`.
+    ``source`` is a zero-argument callable returning a finite iterator
+    of triples ``(p_k, q_k, eps_k)`` with ``|x - p_k/q_k| <= eps_k`` and
+    ``eps_k`` an :class:`ExponentPair`; it is called once.
     """
 
     kind = "convergents"
@@ -261,15 +261,31 @@ class ConvergentSeries(NumberSpec):
         super().__init__()
         self.source = source
         self.description = description
-        first = next(iter(source()), None)
+        self._produced = []
+        self._pending = iter(source())
+        first = next(self._convergents(), None)
         if first is None:
             raise ValueError("convergent source yields nothing")
         p, q, eps = first
         pad = eps.to_fraction() if eps.materialisable() else Fraction(1)
         self._cached = (Fraction(p, q) - pad, Fraction(p, q) + pad)
 
+    def _convergents(self):
+        """The triples of one run of ``source``, each kept the first time
+        it is produced and read from that list afterwards; a later triple
+        is produced only when asked for."""
+        k = 0
+        while True:
+            if k == len(self._produced):
+                triple = next(self._pending, None)
+                if triple is None:
+                    return
+                self._produced.append(triple)
+            yield self._produced[k]
+            k += 1
+
     def _enclosure(self, width):
-        for p, q, eps in self.source():
+        for p, q, eps in self._convergents():
             if eps.materialisable():
                 e = eps.to_fraction()
                 if 2 * e <= width:
@@ -284,7 +300,7 @@ class ConvergentSeries(NumberSpec):
         doubly exponential magnitudes symbolic; an unbounded increase of
         rho_k is the signature of the wild (non-theta) regime."""
         out = []
-        for k, (p, q, eps) in enumerate(self.source()):
+        for k, (p, q, eps) in enumerate(self._convergents()):
             if k >= max_terms:
                 break
             t1 = float(Fraction(-eps.e, q)) * LN10

@@ -123,6 +123,16 @@ class Scanner:
 
 CONVERGENT_FAMILIES = ("liouville10", "power-tower")
 
+# the document fields each kind reads, beside "type" and "family"
+_FIELDS = {
+    "rational": ("value",),
+    "sqrt": ("d",),
+    "quadratic": ("poly", "root"),
+    "formal": (),
+    "liouville10": (),
+    "power-tower": ("base", "start"),
+}
+
 # text forms kind[:arg,...] and the document fields their arguments fill
 _TEXT_ARGS = {
     "formal": (),
@@ -133,23 +143,42 @@ _TEXT_ARGS = {
 }
 
 
+def _integer(value, name):
+    """The integer field ``name``: a JSON integer or the text of one.
+    A float or a boolean is refused, not truncated."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _number(kind, fields):
     """The value of a number of ``kind`` (a document type or a
     convergent family) with document ``fields``: a Fraction, a
     QuadraticSurd, a ConvergentSeries, or None for a formal number."""
     if kind == "rational":
-        return Fraction(fields["value"])
+        value = fields["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"value must be an integer or a text like "
+                             f"\"1/2\", got {value!r}")
+        return Fraction(value)
     if kind == "sqrt":
-        return QuadraticSurd(1, 0, -int(fields["d"]), "plus")
+        return QuadraticSurd(1, 0, -_integer(fields["d"], "d"), "plus")
     if kind == "quadratic":
-        A, B, C = (int(x) for x in fields["poly"])
+        poly = fields["poly"]
+        if not isinstance(poly, list) or len(poly) != 3:
+            raise ValueError(f"poly must be a list [A, B, C], got {poly!r}")
+        A, B, C = (_integer(x, "poly") for x in poly)
         return QuadraticSurd(A, B, C, fields.get("root", "plus"))
     if kind == "formal":
         return None
     if kind == "liouville10":
         return liouville_decimal()
-    base = int(fields.get("base", 2))
-    return power_tower(base, int(fields.get("start", base * base)))
+    base = _integer(fields.get("base", 2), "base")
+    return power_tower(base, _integer(fields.get("start", base * base),
+                                      "start"))
 
 
 def _number_from_text(text):
@@ -172,14 +201,19 @@ def number_spec_from_document(doc):
     """The value of a number document: a Fraction, a QuadraticSurd, a
     ConvergentSeries, or None for a formal number."""
     kind = doc["type"]
+    reads = {"type"}
     if kind == "convergents":
         kind = doc["family"]
+        reads.add("family")
         if kind not in CONVERGENT_FAMILIES:
             raise ValueError(f"family must be one of "
                              f"{', '.join(CONVERGENT_FAMILIES)}, "
                              f"got {kind!r}")
     elif kind not in ("rational", "sqrt", "quadratic", "formal"):
         raise ValueError(f"unknown number type {kind!r}")
+    unread = sorted(set(doc) - reads - set(_FIELDS[kind]))
+    if unread:
+        raise ValueError(f"{doc['type']} number has no field {unread[0]!r}")
     return _number(kind, doc)
 
 

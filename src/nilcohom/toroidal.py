@@ -9,9 +9,11 @@ Within that declared model everything here is exactly decidable:
   normal form  [zero rows; I_k R; 0 P]  by an invertible complex
   coordinate change and integral column operations, where R is a real
   glueing block and P the period of a compact torus of rank q.
-* ``remmert_morimoto`` splits off C^a and (C^*)^b factors until the
-  remainder satisfies the irrationality condition
-  (no integer sigma != 0 with sigma^t R integral).
+* ``remmert_morimoto`` reads the splitting C^a x (C^*)^b x (toroidal
+  part) off the normal form: b is the rank of the witness lattice
+  {sigma in Z^k : sigma^t R integral}, one integer kernel, and the
+  toroidal part satisfies the irrationality condition (no integer
+  sigma != 0 with sigma^t R integral).
 * ``theta_classify`` decides the exponential Diophantine dichotomy on
   R: certified through an effective Liouville bound when the single
   irrational entry is a quadratic surd, and evidence-graded through
@@ -33,7 +35,7 @@ from .errors import (
     UnsupportedError,
     input_errors_as_parse_error,
 )
-from .exact.fields import QQ, QuadraticField, complexify
+from .exact.fields import QuadraticField, complexify
 from .exact.intlattice import (
     hermite_row,
     integer_kernel,
@@ -275,14 +277,6 @@ def toroidal_normalize(pd: PeriodData) -> ToroidalNormalForm:
                               a, k, q, R, P)
 
 
-def normal_form_period_data(nf: ToroidalNormalForm) -> PeriodData:
-    """The toroidal block itself as period data of dimension k + q."""
-    rows = nf.display_rows()
-    gens = [[rows[i][j] for i in range(nf.k + nf.q)]
-            for j in range(nf.k + 2 * nf.q)]
-    return PeriodData(nf.pd.field, nf.k + nf.q, gens, nf.pd.param_spec)
-
-
 # ---------------------------------------------------------------------------
 # irrationality condition and the Remmert-Morimoto splitting
 
@@ -294,7 +288,13 @@ def glueing_labels(R: Matrix):
     labels = {}
     for i in range(R.nrows):
         for j in range(R.ncols):
-            for lab, c in field.q_labels(R.rows[i][j]).items():
+            try:
+                entry_labels = field.q_labels(R.rows[i][j])
+            except ValueError as exc:
+                raise UnsupportedError(
+                    f"glueing entry ({i + 1}, {j + 1}) is not a rational "
+                    f"combination of the declared numbers: {exc}") from None
+            for lab, c in entry_labels.items():
                 labels.setdefault(lab, {})[(i, j)] = c
     out = {}
     for lab, entries in sorted(labels.items()):
@@ -303,26 +303,27 @@ def glueing_labels(R: Matrix):
     return out
 
 
+def _witness_kernel(R: Matrix, labels):
+    """Hermite basis of the integer sigma with no irrational part in
+    sigma^t R.  A multiple of each such sigma makes sigma^t R integral,
+    so its rank is the rank of the witness lattice
+    {sigma in Z^k : sigma^t R in Z^2q}."""
+    # sigma^t R_lab = 0  <=>  R_lab^t sigma = 0
+    irrational_rows = [[mat[i][j] for i in range(R.nrows)]
+                       for lab, mat in labels.items() if lab != (0, 0)
+                       for j in range(R.ncols)]
+    if not irrational_rows:
+        return [[1 if i == j else 0 for j in range(R.nrows)]
+                for i in range(R.nrows)]
+    return hermite_row(integer_kernel(rational_rows_to_integer(
+        irrational_rows)))
+
+
 def check_irrationality(R: Matrix):
     """None when no nonzero integer sigma has sigma^t R integral;
     otherwise one such witness sigma (a tuple of ints)."""
-    kdim = R.nrows
-    if kdim == 0:
-        return None
     labels = glueing_labels(R)
-    irrational_rows = []
-    for lab, mat in labels.items():
-        if lab == (0, 0):
-            continue
-        # sigma^t R_lab = 0  <=>  R_lab^t sigma = 0
-        for j in range(R.ncols):
-            irrational_rows.append([mat[i][j] for i in range(kdim)])
-    if irrational_rows:
-        int_rows = rational_rows_to_integer(irrational_rows)
-        kernel = hermite_row(integer_kernel(int_rows))
-    else:
-        kernel = [[1 if i == j else 0 for j in range(kdim)]
-                  for i in range(kdim)]
+    kernel = _witness_kernel(R, labels)
     if not kernel:
         return None
     sigma0 = kernel[0]
@@ -336,106 +337,27 @@ def check_irrationality(R: Matrix):
 
 
 class RemmertMorimoto:
-    def __init__(self, a, b, toroidal, normal_form):
+    """F = C^a x (C^*)^b x (toroidal group of dimension toroidal_dim),
+    read off ``normal_form``, the normal form of F's period data."""
+
+    def __init__(self, a, b, toroidal_dim, normal_form):
         self.a = a
         self.b = b
-        self.toroidal = toroidal
+        self.toroidal_dim = toroidal_dim
         self.normal_form = normal_form
 
     def __repr__(self):
-        t = "none" if self.toroidal is None else f"dim {self.toroidal.n}"
-        return f"RemmertMorimoto(a={self.a}, b={self.b}, toroidal={t})"
-
-
-def _split_one_cstar(nf: ToroidalNormalForm, sigma):
-    """Split off the C^* direction named by the witness sigma and
-    return the reduced period data (one complex dimension fewer)."""
-    cf = nf.pd.cfield
-    k, q = nf.k, nf.q
-    rows = [list(r) for r in nf.display_rows()]
-    ncols = k + 2 * q
-    # invertible coordinate change on the k-block sending the first
-    # coordinate to sigma . z; rows are coordinates, so this need not
-    # be integral (only column operations must preserve the lattice)
-    units = [[1 if s == t else 0 for s in range(k)] for t in range(k)]
-    extra = Subspace(QQ, k, [list(sigma)]).extend_basis_within(units)
-    top = [list(sigma)] + [units[t] for t in extra]
-    new_rows = []
-    for trow in top:
-        new_rows.append([
-            sum((cf.from_int(trow[s]) * rows[s][j] for s in range(k)),
-                cf.zero()) for j in range(ncols)])
-    rows = new_rows + rows[k:]
-    # integer column operations clear row 0 down to a single 1
-    def col_sub(dst, src, mult: int):
-        for irow in range(len(rows)):
-            rows[irow][dst] = rows[irow][dst] - cf.from_int(mult) * rows[irow][src]
-
-    def entry0(j) -> int:
-        x = rows[0][j]
-        lab = nf.pd.field.q_labels(x.re)
-        if x.im or set(lab) - {(0, 0)}:
-            raise StructureError("witness row is not integral")
-        val = lab.get((0, 0), Fraction(0))
-        if val.denominator != 1:
-            raise StructureError("witness row is not integral")
-        return int(val)
-
-    while True:
-        nz = [j for j in range(ncols) if entry0(j)]
-        if not nz:
-            raise StructureError("witness column reduction failed")
-        jmin = min(nz, key=lambda j: abs(entry0(j)))
-        done = True
-        for j in nz:
-            if j == jmin:
-                continue
-            mult = entry0(j) // entry0(jmin)
-            if mult:
-                col_sub(j, jmin, mult)
-            if entry0(j):
-                done = False
-        if done and len([j for j in range(ncols) if entry0(j)]) == 1:
-            piv = jmin
-            break
-    if entry0(piv) < 0:
-        for irow in range(len(rows)):
-            rows[irow][piv] = -rows[irow][piv]
-    g = entry0(piv)
-    if g != 1:
-        # the lattice meets the split direction in g Z: rescale the
-        # coordinate so the factor is C/Z
-        ginv = cf.coerce(Fraction(1, g))
-        rows[0] = [ginv * x for x in rows[0]]
-    # clear the remaining coordinates of the pivot column by row ops
-    for irow in range(1, len(rows)):
-        c = rows[irow][piv]
-        if c:
-            rows[irow] = [rows[irow][j] - c * rows[0][j]
-                          for j in range(ncols)]
-    reduced = [[rows[irow][j] for irow in range(1, k + q)]
-               for j in range(ncols) if j != piv]
-    return PeriodData(nf.pd.field, k + q - 1, reduced, nf.pd.param_spec)
+        return (f"RemmertMorimoto(a={self.a}, b={self.b}, "
+                f"toroidal_dim={self.toroidal_dim})")
 
 
 def remmert_morimoto(nf: ToroidalNormalForm) -> RemmertMorimoto:
-    """Split F into C^a x (C^*)^b x (toroidal part), starting from the
-    normal form of its period data and iterating the witness search
-    until the irrationality condition holds."""
-    a = nf.a
-    b = 0
-    for _ in range(nf.pd.n + 1):
-        if nf.k == 0 and nf.q == 0:
-            return RemmertMorimoto(a, b, None, None)
-        if nf.q == 0:
-            return RemmertMorimoto(a, b + nf.k, None, None)
-        sigma = check_irrationality(nf.R)
-        if sigma is None:
-            return RemmertMorimoto(a, b, normal_form_period_data(nf), nf)
-        reduced = _split_one_cstar(nf, sigma)
-        b += 1
-        nf = toroidal_normalize(reduced)
-    raise StructureError("Remmert-Morimoto iteration failed to terminate")
+    """Split F into C^a x (C^*)^b x (toroidal part) from the normal form
+    of its period data: a counts the zero rows, b is the rank of the
+    witness lattice of R (all k glueing rows when q = 0), and the
+    toroidal part has dimension k + q - b."""
+    b = len(_witness_kernel(nf.R, glueing_labels(nf.R)))
+    return RemmertMorimoto(nf.a, b, nf.k + nf.q - b, nf)
 
 
 # ---------------------------------------------------------------------------
@@ -788,11 +710,11 @@ def hausdorff_hodge(pd: PeriodData, p: int, qprime: int) -> int:
     for a toroidal group of rank q; the exact cohomology in the theta
     case and the Hausdorff quotient in the wild case."""
     rm = remmert_morimoto(toroidal_normalize(pd))
-    if rm.toroidal is None or rm.a or rm.b:
+    if not rm.toroidal_dim or rm.a or rm.b:
         raise UnsupportedError(
             "period data is not toroidal: Remmert-Morimoto gives "
             f"a={rm.a}, b={rm.b}")
-    n = rm.toroidal.n
+    n = rm.toroidal_dim
     qrank = rm.normal_form.q
     if p < 0 or qprime < 0:
         raise ValueError("degrees must be nonnegative")
@@ -846,9 +768,10 @@ def complex_coordinates_on(J, f: Subspace, field):
 
 def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
     """Compute the leaf lattice inside an abelian J-invariant ideal,
-    emit its period data in the complex coordinates induced by J, and
-    classify: compact torus (fibration), toroidal theta/wild, or a
-    leaf with extra flat factors.  The period data live over the
+    and classify: compact torus (fibration; a lattice of full rank, no
+    period data), or, from the period data in the complex coordinates
+    induced by J, toroidal theta/wild or a leaf with extra flat
+    factors.  The period data live over the
     lattice's field ``L.field``, its parameter bound to
     ``L.param_spec``."""
     from .cxstruct import is_j_invariant
@@ -861,14 +784,14 @@ def leaf_analysis(g, J, L, f: Subspace, scan_bound=None) -> LeafAnalysis:
     if not is_abelian_subspace(g, f):
         raise StructureError("ideal is not abelian")
     coeffs, vectors = lattice_intersection(L, f)
+    if len(vectors) == f.dim:
+        return LeafAnalysis(coeffs, vectors, None, None, None,
+                            "compact torus")
     coords, nf2 = complex_coordinates_on(J, f, L.field)
     gens = [coords(v) for v in vectors]
     pd = PeriodData(L.field, nf2, gens, L.param_spec)
-    if len(vectors) == f.dim:
-        return LeafAnalysis(coeffs, vectors, pd, None, None,
-                            "compact torus")
     rm = remmert_morimoto(toroidal_normalize(pd))
-    if rm.toroidal is None or rm.a or rm.b:
+    if not rm.toroidal_dim or rm.a or rm.b:
         return LeafAnalysis(
             coeffs, vectors, pd, rm, None,
             f"leaf with flat factors (a={rm.a}, b={rm.b})")

@@ -341,6 +341,13 @@ def test_bad_scan_bound_exit_2(capsys, tmp_path, monkeypatch, env, argv,
     ('{"type": "quadratic"}', "a"),
     ('{"type": "convergents"}', "a"),
     ('{"type": "convergents", "family": "power-tower:3"}', "a"),
+    ('{"type": "sqrt", "d": 2.9}', "a"),
+    ('{"type": "rational", "value": true}', "a"),
+    ('{"type": "quadratic", "poly": [1, 0, -2.5]}', "a"),
+    ('{"type": "convergents", "family": "power-tower", "base": 2.9, '
+     '"start": 4.5}', "a"),
+    ('{"type": "sqrt", "d": 2, "root": "minus"}', "a"),
+    ('{"type": "rational", "value": 0.1}', "a"),
 ])
 def test_toroidal_bad_numbers_exit_2(capsys, tmp_path, number, entry):
     f = tmp_path / "period.json"
@@ -420,6 +427,26 @@ def test_verify_theorem_splits_once(capsys, monkeypatch):
     assert calls == {"pq_splitting": 1}
 
 
+@pytest.mark.parametrize("param", [[], ["--param", "a=1/2"]])
+def test_verify_theorem_builds_constraint_rows_once(capsys, monkeypatch,
+                                                    param):
+    # the foliation case (formal a) and the fibration case (a = 1/2)
+    # read Gamma-rationality and the leaf off one leaf lattice
+    import nilcohom.liealg as liealg
+
+    calls = Counter()
+    original = liealg._rational_constraint_rows
+
+    def counting(*args):
+        calls["_rational_constraint_rows"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(liealg, "_rational_constraint_rows", counting)
+    code, out, err = run(capsys, *VERIFY_ARGS, *param)
+    assert code == 0
+    assert calls == {"_rational_constraint_rows": 1}
+
+
 def test_hodge_table_runs_nijenhuis_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "nijenhuis")
     code, out, err = run(capsys, "cohomology", "h7", "--J", "std",
@@ -447,6 +474,21 @@ def test_period_surds_must_share_one_field(capsys, tmp_path, d2, code):
                     "s": {"type": "sqrt", "d": d2}},
         "generators": [["1", "0"], ["0", "1"], ["r+s", "i"]]}))
     assert run(capsys, "toroidal", str(f))[0] == code
+
+
+def test_formal_parameter_in_a_denominator_exit_4(capsys, tmp_path):
+    # normalising divides a glueing entry by a - 1/2, which is not a
+    # rational combination of the declared numbers
+    f = tmp_path / "period.json"
+    f.write_text(json.dumps({
+        "dimension": 3, "numbers": {"a": {"type": "formal"}},
+        "generators": [["2-4*a", "-4/3-4*i", "-6"], ["-1/2", "1", "0"],
+                       ["-1/2", "0", "1"], ["-2+2*a", "2/3+2*i", "11/3+2*i"],
+                       ["-3/2", "0", "2/3+2*i"]]}))
+    code, out, err = run(capsys, "toroidal", str(f))
+    assert code == 4
+    assert "glueing entry (1, 1)" in err
+    assert "Traceback" not in err
 
 
 TWELVE_LETTERS = "(0,0,0,0,0,0,0,0,0,0,12,34)"

@@ -64,6 +64,20 @@ def test_inputs_are_read_behind_one_module():
     (number_spec_from_document, {"type": "convergents"}, "family"),
     (number_spec_from_document,
      {"type": "convergents", "family": "power-tower:3"}, "family"),
+    (number_spec_from_document, {"type": "sqrt", "d": 2.9}, "d"),
+    (number_spec_from_document, {"type": "rational", "value": True}, "value"),
+    (number_spec_from_document,
+     {"type": "quadratic", "poly": [1, 0, -2.5]}, "poly"),
+    (number_spec_from_document,
+     {"type": "convergents", "family": "power-tower", "base": 2.9,
+      "start": 4.5}, "base"),
+    (number_spec_from_document,
+     {"type": "convergents", "family": "power-tower", "start": 4.5},
+     "start"),
+    (number_spec_from_document,
+     {"type": "sqrt", "d": 2, "root": "minus"}, "root"),
+    (number_spec_from_document, {"type": "rational", "value": 0.1}, "value"),
+    (parse_number_override, "sqrt:2.9", "d"),
     (parse_number_override, "power-tower:2,8,9", "start"),
     (convergent_family, "sqrt:2", "--convergents"),
 ])

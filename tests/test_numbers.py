@@ -167,6 +167,27 @@ def test_convergent_family_parser():
         convergent_family("nope")
 
 
+def test_convergent_source_runs_once_and_lazily():
+    # 1/3 through its decimal truncations, |1/3 - p/10^k| < 10^-k
+    runs, produced = [], []
+
+    def source():
+        runs.append(1)
+        for k in range(1, 4):
+            produced.append(k)
+            yield 10**k // 3, 10**k, ExponentPair(1, -k)
+
+    s = ConvergentSeries(source, "thirds")
+    assert produced == [1]
+    lo, hi = s.enclosure(Fraction(1, 10))
+    assert produced == [1, 2] and lo <= Fraction(1, 3) <= hi
+    assert len(s.convergent_ratios()) == 3
+    for width in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 20)):
+        lo, hi = s.enclosure(width)
+        assert hi - lo <= width and lo <= Fraction(1, 3) <= hi
+    assert runs == [1] and produced == [1, 2, 3]
+
+
 def test_custom_convergent_series_exhaustion_message():
     def gen():
         yield 1, 2, ExponentPair(1, -1)

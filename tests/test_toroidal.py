@@ -102,22 +102,18 @@ class TestNormalize:
 class TestRemmertMorimoto:
     def test_rank_zero(self):
         rm = remmert_morimoto(toroidal_normalize(PeriodData(QQ, 2, [])))
-        assert (rm.a, rm.b, rm.toroidal) == (2, 0, None)
+        assert (rm.a, rm.b, rm.toroidal_dim) == (2, 0, 0)
 
     def test_single_integral_direction(self):
         pd = period_data_from_document(
             {"dimension": 1, "numbers": {}, "generators": [["1"]]})
         rm = remmert_morimoto(toroidal_normalize(pd))
-        assert (rm.a, rm.b, rm.toroidal) == (0, 1, None)
+        assert (rm.a, rm.b, rm.toroidal_dim) == (0, 1, 0)
 
     def test_worked_leaf_is_toroidal(self, leaf_pd):
         rm = remmert_morimoto(toroidal_normalize(leaf_pd))
         assert (rm.a, rm.b) == (0, 0)
-        assert rm.toroidal is not None and rm.toroidal.n == 2
-        again = remmert_morimoto(toroidal_normalize(rm.toroidal))
-        assert (again.a, again.b) == (0, 0)
-        # the splitting fixes the toroidal part: recomputing returns it
-        assert again.toroidal.generators == rm.toroidal.generators
+        assert rm.toroidal_dim == 2
 
     def test_rational_glueing_splits_cstar(self):
         pd = period_data_from_document(
@@ -125,13 +121,90 @@ class TestRemmertMorimoto:
              "generators": [["1", "0"], ["0", "1"], ["1/2", "i"]]})
         rm = remmert_morimoto(toroidal_normalize(pd))
         assert (rm.a, rm.b) == (0, 1)
-        assert rm.toroidal is not None and rm.normal_form.q == 1
-        assert rm.a + rm.b + rm.toroidal.n == 2
+        assert rm.toroidal_dim and rm.normal_form.q == 1
+        assert rm.a + rm.b + rm.toroidal_dim == 2
 
     def test_dimension_bookkeeping(self, leaf_pd):
         rm = remmert_morimoto(toroidal_normalize(leaf_pd))
-        assert rm.a + rm.b + (rm.toroidal.n if rm.toroidal else 0) \
-            == leaf_pd.n
+        assert rm.a + rm.b + rm.toroidal_dim == leaf_pd.n
+
+
+SPLITTING_TOWERS = {
+    "Q": ({}, []),
+    "Q(sqrt2)": ({"r": {"type": "sqrt", "d": 2}}, ["r"]),
+    "Q(a)": ({"a": {"type": "formal"}}, ["a", "a*a"]),
+    "Q(sqrt2)(a)": ({"r": {"type": "sqrt", "d": 2},
+                     "a": {"type": "formal"}}, ["r", "a", "r*a"]),
+}
+
+
+def _random_splitting_case(rng, tower, qmax=3):
+    """Period data C^a x [I_k R; 0 P] over ``tower`` whose glueing rows
+    beyond the first r are integer combinations of those r plus a
+    rational row, with the torus generators shuffled.  Over a formal
+    parameter R has no rational part: splitting off a C^* whose
+    witness leaves a rational residue moves the parameter into the
+    lattice columns, and renormalising then divides by it, which the
+    oracle's loop cannot do."""
+    numbers, monomials = SPLITTING_TOWERS[tower]
+    k, q, a = rng.randint(0, 3), rng.randint(0, qmax), rng.randint(0, 1)
+    r = rng.randint(0, min(k, 2 * q)) if monomials else 0
+
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def rational():
+        return Fraction(0) if "a" in numbers else frac()
+
+    R = [[{"1": rational(), rng.choice(monomials): frac()}
+          for _ in range(2 * q)] for _ in range(r)]
+    for _ in range(k - r):
+        mults = [rng.randint(-2, 2) for _ in range(r)]
+        R.append([{mono: sum(m * row[c].get(mono, 0)
+                             for m, row in zip(mults, R[:r]))
+                   + (rational() if mono == "1" else 0)
+                   for mono in ["1"] + monomials} for c in range(2 * q)])
+
+    def period(i, c):
+        if c < q:
+            return "1" if i == c else "0"
+        return f"({frac()})" + ("+i" if i == c - q else "")
+
+    gens = [[("1" if i == j else "0") for i in range(k)] + ["0"] * q
+            for j in range(k)]
+    torus = [["+".join(f"({x})*{mono}" for mono, x in R[i][c].items())
+              for i in range(k)] + [period(i, c) for i in range(q)]
+             for c in range(2 * q)]
+    rng.shuffle(torus)
+    return period_data_from_document({
+        "dimension": a + k + q, "numbers": numbers,
+        "generators": [g + ["0"] * a for g in gens + torus]})
+
+
+def test_splitting_matches_oracle_on_random_period_data():
+    """One witness kernel gives the (a, b, toroidal_dim) of the
+    C^*-by-C^* splitting loop, over every tower shape."""
+    import random
+
+    import toroidal_oracle
+
+    rng = random.Random(20)
+    seen = set()
+    # the loop renormalises over the tower once per C^*, which costs
+    # up to half a second over Q(sqrt2)(a): fewer and smaller cases there
+    for tower, cases, qmax in (("Q", 40, 3), ("Q(sqrt2)", 16, 2),
+                               ("Q(a)", 10, 1), ("Q(sqrt2)(a)", 6, 1)):
+        for _ in range(cases):
+            pd = _random_splitting_case(rng, tower, qmax)
+            nf = toroidal_normalize(pd)
+            rm = remmert_morimoto(nf)
+            assert (rm.a, rm.b, rm.toroidal_dim) \
+                == toroidal_oracle.remmert_morimoto(nf), (tower, pd)
+            assert rm.normal_form is nf
+            seen.add((nf.k, nf.q, rm.b))
+    assert any(b >= 2 and q for k, q, b in seen)
+    assert any(q == 0 and k for k, q, b in seen)
+    assert any(k == 0 and q for k, q, b in seen)
 
 
 class TestIrrationality:
@@ -255,11 +328,10 @@ class TestThetaClassification:
 
 class TestHausdorffHodge:
     def test_binomial_dimensions(self, leaf_pd):
-        rm = remmert_morimoto(toroidal_normalize(leaf_pd))
-        assert hausdorff_hodge(rm.toroidal, 0, 1) == 1
-        assert hausdorff_hodge(rm.toroidal, 1, 1) == 2
-        assert hausdorff_hodge(rm.toroidal, 0, 0) == 1
-        assert hausdorff_hodge(rm.toroidal, 1, 2) == 0
+        assert hausdorff_hodge(leaf_pd, 0, 1) == 1
+        assert hausdorff_hodge(leaf_pd, 1, 1) == 2
+        assert hausdorff_hodge(leaf_pd, 0, 0) == 1
+        assert hausdorff_hodge(leaf_pd, 1, 2) == 0
 
     def test_non_toroidal_rejected(self):
         pd = period_data_from_document(
