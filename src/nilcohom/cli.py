@@ -35,7 +35,6 @@ from .cxstruct import (
     conjecture_status,
     hodge_table,
     is_integrable,
-    nijenhuis_witness,
     span_of_frame,
 )
 from .errors import (
@@ -127,6 +126,17 @@ def _format_class(cls):
     return "infinite" if cls is math.inf else cls
 
 
+def require_integrable(J) -> None:
+    """Refuse a non-integrable J, naming its Nijenhuis witness: the
+    paper's statements are about complex nilmanifolds."""
+    if not is_integrable(J):
+        pair, value = J.witness
+        raise UnsupportedError(
+            f"complex structure is not integrable: Nijenhuis tensor "
+            f"nonzero on basis pair {pair}: "
+            f"({', '.join(str(x) for x in value)})")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,12 +186,7 @@ def cmd_cohomology(args) -> int:
             raise ParseError("a hodge table needs --J")
         check_letter_count(g.n)
         J = resolve_complex_structure(g, args.J)
-        if not is_integrable(J):
-            pair, value = nijenhuis_witness(J)
-            raise UnsupportedError(
-                f"complex structure is not integrable: Nijenhuis tensor "
-                f"nonzero on basis pair {pair}: "
-                f"({', '.join(str(x) for x in value)})")
+        require_integrable(J)
         table = hodge_table(J)
         results["hodge_table"] = [list(r) for r in table]
         m = g.n // 2
@@ -280,6 +285,7 @@ def cmd_verify_theorem(args) -> int:
     f = _parse_basis_arg(args.ideal, g.field, g.n)
     f0 = _parse_basis_arg(args.f0, g.field, g.n)
     g0 = _parse_frame_arg(J, args.g0)
+    require_integrable(J)
     report = conjecture_status(g, J, L, f, f0, g0, scan_bound=scan)
     results = {
         "checklist": [{"item": name, "status": status, "detail": detail}

@@ -8,9 +8,12 @@ X_i = e_{2i-1} + i e_{2i}: the (1,0) projector is (id + iJ)/2 and the
 orientation; fixing it makes every basis and matrix reproducible.
 
 An ``AlmostComplexStructure`` is immutable and owns what J determines:
-its Nijenhuis witness, its splitting and its bigraded complex.  Each is
+its splitting, its bigraded complex and its Nijenhuis witness.  Each is
 computed on first use and kept with the object, so every check of one
-J reads the same splitting g_C = g^{1,0} + g^{0,1}.
+J reads the same splitting g_C = g^{1,0} + g^{0,1}.  Integrability is
+read off that splitting: J is integrable exactly when the (1,0) frame
+closes under the bracket.  The Nijenhuis tensor is evaluated only to
+name the witness of a refusal.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from .liealg import (
 class AlmostComplexStructure:
     """An exact matrix J on a Lie algebra with J^2 = -id.
 
-    ``witness``, ``splitting`` and ``bigraded`` are computed at most
-    once per object, by :func:`nijenhuis`, :func:`pq_splitting` and
-    :class:`BigradedComplex`."""
+    ``splitting``, ``bigraded`` and ``witness`` are computed at most
+    once per object, by :func:`pq_splitting`, :class:`BigradedComplex`
+    and :func:`nijenhuis`.  :func:`is_integrable` reads the splitting;
+    ``witness`` is asked for only to explain a refusal."""
 
     def __init__(self, ambient: LieAlgebra, J: Matrix):
         if ambient.n % 2:
@@ -125,20 +129,12 @@ def nijenhuis(J: AlmostComplexStructure):
     return out
 
 
-def nijenhuis_witness(J: AlmostComplexStructure):
-    return J.witness
-
-
 def is_integrable(J: AlmostComplexStructure) -> bool:
-    return J.witness is None
-
-
-def holomorphic_closure_test(J: AlmostComplexStructure) -> bool:
-    """Equivalent integrability test: the (1,0) space is closed under
-    the complexified bracket."""
+    """True iff the (1,0) frame closes under the bracket: no structure
+    constant gamma_{ab}^c of the splitting has a < b < m <= c."""
     split = J.splitting
-    return check_complex_subalgebra(
-        J, Subspace(split.field, J.ambient.n, split.X))
+    return not any(b < split.m and max(comps) >= split.m
+                   for (_, b), comps in split.gamma.items())
 
 
 class PQSplitting:
@@ -210,7 +206,7 @@ class BigradedComplex:
     def __init__(self, J: AlmostComplexStructure):
         check_letter_count(J.ambient.n)
         if not is_integrable(J):
-            w = nijenhuis_witness(J)
+            w = J.witness
             raise StructureError(
                 "d does not split as del + delbar: Nijenhuis tensor is "
                 f"nonzero on basis pair {w[0]}", witness=w)

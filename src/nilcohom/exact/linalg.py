@@ -423,19 +423,6 @@ class Subspace:
                 vec = [a - f * b for a, b in zip(vec, self.basis[i])]
         return not any(vec)
 
-    def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None."""
-        vec = [self.field.coerce(x) for x in vec]
-        out = []
-        for i, pc in enumerate(self._pivots):
-            f = vec[pc]
-            out.append(f)
-            if f:
-                vec = [a - f * b for a, b in zip(vec, self.basis[i])]
-        if any(vec):
-            return None
-        return tuple(out)
-
     def __le__(self, other):
         return all(other.contains(v) for v in self.basis)
 

@@ -262,12 +262,13 @@ class ConvergentSeries(NumberSpec):
         self.source = source
         self.description = description
         self._produced = []
+        self._errors = {}
         self._pending = iter(source())
         first = next(self._convergents(), None)
         if first is None:
             raise ValueError("convergent source yields nothing")
         p, q, eps = first
-        pad = eps.to_fraction() if eps.materialisable() else Fraction(1)
+        pad = self._error(0, eps) or Fraction(1)
         self._cached = (Fraction(p, q) - pad, Fraction(p, q) + pad)
 
     def _convergents(self):
@@ -284,12 +285,19 @@ class ConvergentSeries(NumberSpec):
             yield self._produced[k]
             k += 1
 
+    def _error(self, k, eps):
+        """eps_k as a fraction, materialised the first time it is asked
+        for, or None when its digits are too many to materialise."""
+        if k not in self._errors:
+            self._errors[k] = (eps.to_fraction() if eps.materialisable()
+                               else None)
+        return self._errors[k]
+
     def _enclosure(self, width):
-        for p, q, eps in self._convergents():
-            if eps.materialisable():
-                e = eps.to_fraction()
-                if 2 * e <= width:
-                    return Fraction(p, q) - e, Fraction(p, q) + e
+        for k, (p, q, eps) in enumerate(self._convergents()):
+            e = self._error(k, eps)
+            if e is not None and 2 * e <= width:
+                return Fraction(p, q) - e, Fraction(p, q) + e
         raise PrecisionUnavailable(
             f"precision unavailable: {self.description} exhausted before "
             f"reaching width ~10^{_decimal_shift(width)}")

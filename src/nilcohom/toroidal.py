@@ -94,6 +94,22 @@ def _complex_from_real(cfield, vec_2n, n):
                  for j in range(n))
 
 
+def _declared_entries(field, generator):
+    """How many entries of a generator carry the formal parameter, and
+    how many carry any declared irrational number."""
+    param = irrational = 0
+    for z in generator:
+        labels = set()
+        for x in (z.re, z.im):
+            try:
+                labels |= set(field.q_labels(x))
+            except ValueError:  # the parameter in a denominator
+                labels.add((0, 1))
+        param += any(k for _, k in labels)
+        irrational += bool(labels - {(0, 0)})
+    return param, irrational
+
+
 class ToroidalNormalForm:
     """Result of the block normalisation: counts a (copies of C),
     k (glueing rows), rank q, the real glueing matrix R, the torus
@@ -111,26 +127,6 @@ class ToroidalNormalForm:
         self.q = q
         self.R = R
         self.P = P
-
-    @property
-    def b(self):
-        """Visible (C^*)^b rows: only when there is no torus part."""
-        return self.k if self.q == 0 else 0
-
-    def display_rows(self):
-        """The (k+q) x (k+2q) block matrix [I_k R; 0 P] over the
-        complexified field."""
-        cf = self.pd.cfield
-        zero, one = cf.zero(), cf.one()
-        rows = []
-        for i in range(self.k):
-            row = [one if j == i else zero for j in range(self.k)]
-            row += [cf.coerce(self.R.rows[i][j]) for j in range(2 * self.q)]
-            rows.append(row)
-        for i in range(self.q):
-            row = [zero] * self.k + list(self.P.rows[i])
-            rows.append(row)
-        return tuple(tuple(r) for r in rows)
 
     def __repr__(self):
         return (f"ToroidalNormalForm(a={self.a}, k={self.k}, q={self.q})")
@@ -163,8 +159,17 @@ def toroidal_normalize(pd: PeriodData) -> ToroidalNormalForm:
         raise StructureError("lattice rank exceeds twice the rank of the "
                              "maximal complex subspace")
 
-    # generators spanning a real complement of f0 inside the span
-    selected = f0_real.extend_basis_within(real.columns())
+    # generators spanning a real complement of f0 inside the span,
+    # offered fewest parameter entries first, then fewest irrational
+    # entries, ties in input order: a parameter-free complement keeps
+    # the parameter out of the coordinate change, so out of every
+    # denominator, and the shape of R, which the quadratic certificate
+    # reads, does not follow the input order
+    cols = real.columns()
+    offered = sorted(range(m), key=lambda j: _declared_entries(
+        field, pd.generators[j]))
+    selected = sorted(offered[t] for t in f0_real.extend_basis_within(
+        [cols[j] for j in offered]))
     if len(selected) != k:
         raise StructureError("could not select a lattice complement")
     torus_cols = [j for j in range(m) if j not in selected]
@@ -702,23 +707,7 @@ def _near_integer(a: int, b: int, d: int, D: int, P: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff Dolbeault dimensions and leaf analysis
-
-
-def hausdorff_hodge(pd: PeriodData, p: int, qprime: int) -> int:
-    """dim of the (p, q') invariant block: binom(n, p) * binom(q, q')
-    for a toroidal group of rank q; the exact cohomology in the theta
-    case and the Hausdorff quotient in the wild case."""
-    rm = remmert_morimoto(toroidal_normalize(pd))
-    if not rm.toroidal_dim or rm.a or rm.b:
-        raise UnsupportedError(
-            "period data is not toroidal: Remmert-Morimoto gives "
-            f"a={rm.a}, b={rm.b}")
-    n = rm.toroidal_dim
-    qrank = rm.normal_form.q
-    if p < 0 or qprime < 0:
-        raise ValueError("degrees must be nonnegative")
-    return math.comb(n, p) * math.comb(qrank, qprime)
+# leaf analysis
 
 
 class LeafAnalysis:

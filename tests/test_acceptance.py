@@ -134,12 +134,11 @@ def test_criterion_5_lattice(h7, example_case):
     assert dim_half == 4
     J = AlmostComplexStructure.standard(g)
     leaf = leaf_analysis(g, J, L, f)
-    cf = leaf.period.cfield
-    a = cf.coerce(leaf.period.field.gen())
-    assert leaf.rm.normal_form.display_rows() == (
-        (cf.from_int(1), cf.zero(), a),
-        (cf.zero(), cf.from_int(1), cf.i()),
-    )
+    nf = leaf.rm.normal_form
+    field, cf = leaf.period.field, leaf.period.cfield
+    assert (nf.k, nf.q) == (1, 1)
+    assert nf.R == Matrix(field, [[field.zero(), field.gen()]])
+    assert nf.P == Matrix(cf, [[cf.one(), cf.i()]])
 
 
 @criterion(6, "toroidal classification: witness, certified radius, "

@@ -448,11 +448,19 @@ def test_verify_theorem_builds_constraint_rows_once(capsys, monkeypatch,
 
 
 def test_hodge_table_runs_nijenhuis_once(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "nijenhuis")
+    # integrability is read off the splitting; the Nijenhuis pass runs
+    # once, and only to name the witness of a refusal
+    calls = count_calls(monkeypatch, "nijenhuis", "pq_splitting")
     code, out, err = run(capsys, "cohomology", "h7", "--J", "std",
                          "--hodge-table")
     assert code == 0
-    assert calls == {"nijenhuis": 1}
+    assert calls == {"pq_splitting": 1}
+    code, out, err = run(capsys, "cohomology", "kt", "--J", "pairs:1-3,2-4",
+                         "--hodge-table")
+    assert (code, out) == (4, "")
+    assert err == ("error: complex structure is not integrable: Nijenhuis "
+                   "tensor nonzero on basis pair (1, 2): (0, 0, 0, -1)\n")
+    assert calls == {"pq_splitting": 2, "nijenhuis": 1}
 
 
 def test_catalog_derives_each_structure_once(capsys, monkeypatch):
@@ -461,7 +469,25 @@ def test_catalog_derives_each_structure_once(capsys, monkeypatch):
     code, out, err = run(capsys, "catalog", "run", "--filter",
                          "kodaira-thurston")
     assert code == 0
-    assert calls == {"nijenhuis": 1, "pq_splitting": 1, "BigradedComplex": 1}
+    assert calls == {"pq_splitting": 1, "BigradedComplex": 1}
+
+
+# J^2 = -id on h7, but J is not integrable: N(e1, e2) = 3 e5 + 4 e6
+TWISTED_H7_J = ("[[0,-1,0,0,0,0],[1,0,0,0,0,0],[-1,-3,-1,-2,0,0],"
+                "[-1,2,1,1,0,0],[0,-3,-2,-2,1,-1],[1,-1,-2,0,2,-1]]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "h7", "--J", TWISTED_H7_J, "--hodge-table"],
+    ["verify-theorem", "h7", "--J", TWISTED_H7_J,
+     "--lattice", "builtin:example-a", "--ideal", "e3,e4,e5,e6",
+     "--f0", "e5,e6", "--g0", "Xbar1,Xbar3", "--param", "a=1/3"],
+])
+def test_every_command_refuses_a_non_integrable_j(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == ("error: complex structure is not integrable: Nijenhuis "
+                   "tensor nonzero on basis pair (1, 2): (0, 0, 0, 0, 3, 4)\n")
 
 
 @pytest.mark.parametrize("d2,code", [(8, 0), (3, 4)])
@@ -477,17 +503,17 @@ def test_period_surds_must_share_one_field(capsys, tmp_path, d2, code):
 
 
 def test_formal_parameter_in_a_denominator_exit_4(capsys, tmp_path):
-    # normalising divides a glueing entry by a - 1/2, which is not a
+    # the complex part of the span is the line z1 = 0, and both
+    # generators outside it carry a: whichever spans the complement, the
+    # other's glueing entry is a/(a + 1) or (a + 1)/a, which is not a
     # rational combination of the declared numbers
     f = tmp_path / "period.json"
     f.write_text(json.dumps({
-        "dimension": 3, "numbers": {"a": {"type": "formal"}},
-        "generators": [["2-4*a", "-4/3-4*i", "-6"], ["-1/2", "1", "0"],
-                       ["-1/2", "0", "1"], ["-2+2*a", "2/3+2*i", "11/3+2*i"],
-                       ["-3/2", "0", "2/3+2*i"]]}))
+        "dimension": 2, "numbers": {"a": {"type": "formal"}},
+        "generators": [["a", "0"], ["0", "i"], ["a+1", "1"]]}))
     code, out, err = run(capsys, "toroidal", str(f))
     assert code == 4
-    assert "glueing entry (1, 1)" in err
+    assert "glueing entry (1, 2)" in err
     assert "Traceback" not in err
 
 

@@ -13,13 +13,11 @@ from nilcohom.cxstruct import (
     dolbeault_complex,
     hodge_table,
     hodge_table_ranks_oracle,
-    holomorphic_closure_test,
     is_integrable,
     is_j_invariant,
     j_core,
     j_hull,
     nijenhuis,
-    nijenhuis_witness,
     pq_splitting,
     span_of_frame,
 )
@@ -71,13 +69,31 @@ class TestConstruction:
             monkeypatch.setattr(cxstruct, name,
                                 counting(calls, name, getattr(cxstruct, name)))
         for _ in range(2):
-            assert is_integrable(J) and nijenhuis_witness(J) is None
+            assert is_integrable(J)
             assert J.splitting is J.splitting
             assert dolbeault_complex(J, 1).m == 3
             hodge_table(J)
             hodge_table_ranks_oracle(J)
+        # integrability is read off the splitting: no Nijenhuis pass
+        assert calls == {"pq_splitting": 1, "BigradedComplex": 1}
+        assert J.witness is None
         assert calls == {"nijenhuis": 1, "pq_splitting": 1,
                          "BigradedComplex": 1}
+
+    def test_refusal_runs_nijenhuis_once(self, monkeypatch,
+                                         kodaira_thurston):
+        J = AlmostComplexStructure.from_pairs(kodaira_thurston,
+                                              [(1, 3), (2, 4)])
+        calls = Counter()
+        for name in ("nijenhuis", "pq_splitting"):
+            monkeypatch.setattr(cxstruct, name,
+                                counting(calls, name, getattr(cxstruct, name)))
+        for _ in range(2):
+            assert not is_integrable(J)
+            with pytest.raises(StructureError) as exc:
+                J.bigraded
+            assert exc.value.witness == ((1, 2), (0, 0, 0, Fraction(-1)))
+        assert calls == {"nijenhuis": 1, "pq_splitting": 1}
 
 
 class TestIntegrability:
@@ -88,23 +104,23 @@ class TestIntegrability:
 
     def test_h7_standard_integrable(self, j0):
         assert is_integrable(j0)
-        assert holomorphic_closure_test(j0)
+        assert all(not any(v) for v in nijenhuis(j0).values())
 
     def test_kt_twisted_not_integrable(self, kodaira_thurston):
         J = AlmostComplexStructure.from_pairs(kodaira_thurston,
                                               [(1, 3), (2, 4)])
-        pair, value = nijenhuis_witness(J)
+        pair, value = J.witness
         assert pair == (1, 2)
         assert value == (0, 0, 0, Fraction(-1))
         assert not is_integrable(J)
-        assert not holomorphic_closure_test(J)
 
     @pytest.mark.parametrize("text,trials", [
         ("(0,0,0,12)", 12), ("(0,0,0,0,0,12)", 6), ("(0,0,0,12,13,23)", 6),
     ])
     def test_agreement_on_randomised_structures(self, text, trials):
         # conjugate the standard structure by random invertible maps and
-        # compare the two integrability tests
+        # compare the closure of the (1,0) frame with the vanishing of
+        # the Nijenhuis tensor
         rng = random.Random(17)
         g = parse_structure_equations(text)
         Jstd = AlmostComplexStructure.standard(g).J
@@ -120,7 +136,7 @@ class TestIntegrability:
                     continue
             J = AlmostComplexStructure(g, t * Jstd * tinv)
             verdict = is_integrable(J)
-            assert verdict == holomorphic_closure_test(J)
+            assert verdict == all(not any(v) for v in nijenhuis(J).values())
             seen.add(verdict)
         # random conjugates are generically non-integrable; the True
         # branch is covered by the standard structures above

@@ -1,6 +1,7 @@
 """Properties over generated nilpotent algebras with generated complex
 structures: random upper-triangular structure equations kept when they
-satisfy Jacobi, and random ``pairs:`` structures kept when integrable.
+satisfy Jacobi, and random ``pairs:`` structures, kept when integrable
+except by the integrability test itself.
 """
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -11,6 +12,7 @@ from nilcohom.cxstruct import (
     hodge_table,
     hodge_table_ranks_oracle,
     is_integrable,
+    nijenhuis,
 )
 from nilcohom.errors import StructureError
 from nilcohom.liealg import betti_numbers, parse_structure_equations
@@ -33,7 +35,7 @@ def tuple_texts(draw, n):
 
 
 @st.composite
-def integrable_cases(draw):
+def pairs_cases(draw):
     n = draw(st.sampled_from([4, 6, 6]))
     text = draw(tuple_texts(n))
     try:
@@ -43,7 +45,12 @@ def integrable_cases(draw):
     order = draw(st.permutations(range(1, n + 1)))
     spec = "pairs:" + ",".join(f"{order[2 * t]}-{order[2 * t + 1]}"
                                for t in range(n // 2))
-    J = resolve_complex_structure(g, spec)
+    return g, resolve_complex_structure(g, spec)
+
+
+@st.composite
+def integrable_cases(draw):
+    g, J = draw(pairs_cases())
     assume(is_integrable(J))
     return g, J
 
@@ -73,3 +80,13 @@ def test_hodge_frolicher_and_betti_agree(case):
                                  if b}
     assert all(table[p][q] == table[m - p][m - q]
                for p in range(m + 1) for q in range(m + 1))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(pairs_cases())
+def test_integrability_is_a_vanishing_nijenhuis_tensor(case):
+    g, J = case
+    vanishes = all(not any(v) for v in nijenhuis(J).values())
+    assert is_integrable(J) == vanishes
+    assert (J.witness is None) == vanishes

@@ -121,6 +121,28 @@ def test_power_tower_convergents_certify():
         assert err <= eps.to_fraction()
 
 
+def test_each_error_bound_materialised_once(monkeypatch):
+    # eps_k.to_fraction() builds a number with as many digits as eps_k
+    # has decimal places; it runs once per convergent, however many
+    # enclosures ask for it
+    calls = {}
+    original = ExponentPair.to_fraction
+
+    def counting(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(ExponentPair, "to_fraction", counting)
+    pt = power_tower(2, 4)
+    width = Fraction(1, 4)
+    for _ in range(6):
+        lo, hi = pt.enclosure(width)
+        assert hi - lo <= width
+        width /= 10**6
+    assert len(calls) == 3
+    assert max(calls.values()) == 1
+
+
 class TestExponentPair:
     def test_normalisation(self):
         e = ExponentPair(Fraction(25, 4), -2)

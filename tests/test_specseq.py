@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -443,3 +444,20 @@ def test_corrupted_reduction_is_refused(h7, corrupted_reductions):
         frolicher(h7, J)
     with pytest.raises(StructureError, match="certificate"):
         hochschild_serre(h7, J, span_of_frame(J, ["Xbar1", "Xbar3"]), 0)
+
+
+
+def test_frolicher_reads_integrability_off_the_splitting(monkeypatch):
+    # a fresh J: the splitting is built once, and the Nijenhuis tensor
+    # is never evaluated on an integrable structure
+    import nilcohom.cxstruct as cxstruct
+
+    calls = Counter()
+    for name in ("nijenhuis", "pq_splitting"):
+        def counting(*args, name=name, fn=getattr(cxstruct, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cxstruct, name, counting)
+    g = parse_structure_equations(IWASAWA)
+    frolicher(g, AlmostComplexStructure.standard(g))
+    assert calls == {"pq_splitting": 1}

@@ -33,7 +33,6 @@ from nilcohom.toroidal import (
     Undetermined,
     WildEvidence,
     check_irrationality,
-    hausdorff_hodge,
     leaf_analysis,
     period_data_from_document,
     remmert_morimoto,
@@ -57,13 +56,9 @@ class TestNormalize:
     def test_worked_leaf_normal_form(self, leaf_pd):
         nf = toroidal_normalize(leaf_pd)
         assert (nf.a, nf.k, nf.q) == (0, 1, 1)
-        cf = leaf_pd.cfield
-        i = cf.i()
-        a = cf.coerce(leaf_pd.field.gen())
-        assert nf.display_rows() == (
-            (cf.from_int(1), cf.zero(), a),
-            (cf.zero(), cf.from_int(1), i),
-        )
+        field, cf = leaf_pd.field, leaf_pd.cfield
+        assert nf.R == Matrix(field, [[field.zero(), field.gen()]])
+        assert nf.P == Matrix(cf, [[cf.one(), cf.i()]])
 
     def test_full_rank_torus(self):
         pd = period_data_from_document(
@@ -76,7 +71,7 @@ class TestNormalize:
         pd = period_data_from_document(
             {"dimension": 2, "numbers": {}, "generators": [["1", "0"]]})
         nf = toroidal_normalize(pd)
-        assert (nf.a, nf.k, nf.q, nf.b) == (1, 1, 0, 1)
+        assert (nf.a, nf.k, nf.q, remmert_morimoto(nf).b) == (1, 1, 0, 1)
 
     def test_lattice_preserved_by_column_bookkeeping(self, leaf_pd):
         nf = toroidal_normalize(leaf_pd)
@@ -84,13 +79,14 @@ class TestNormalize:
         # coordinates: both memberships hold by construction
         assert sorted(nf.column_order) == [0, 1, 2]
         assert all(s in (1, -1) for s in nf.column_signs)
-        rows = nf.display_rows()
+        # columns of [I_k R; 0 P], here with k = q = 1
+        cf = leaf_pd.cfield
+        block = [(cf.one(), cf.zero())] + [
+            (cf.coerce(r), p) for r, p in zip(nf.R.rows[0], nf.P.rows[0])]
         for pos, (j, s) in enumerate(zip(nf.column_order,
                                          nf.column_signs)):
             image = nf.change.apply(leaf_pd.generators[j])
-            expected = tuple(x if s > 0 else -x for x in
-                             (rows[0][pos], rows[1][pos]))
-            assert image == expected
+            assert image == tuple(x if s > 0 else -x for x in block[pos])
 
     def test_dependent_generators_rejected(self):
         with pytest.raises(StructureError):
@@ -205,6 +201,46 @@ def test_splitting_matches_oracle_on_random_period_data():
     assert any(b >= 2 and q for k, q, b in seen)
     assert any(q == 0 and k for k, q, b in seen)
     assert any(k == 0 and q for k, q, b in seen)
+
+
+def test_splitting_does_not_depend_on_generator_order():
+    """Shuffled generators of the oracle test's period data give the
+    same (a, b, toroidal_dim), agreeing with the oracle, and the same
+    verdict kind.  Over a formal parameter a generator carrying it never
+    spans the complement when a parameter-free one can: that would
+    divide glueing entries by the parameter."""
+    import random
+
+    import toroidal_oracle
+
+    rng = random.Random(7)
+    # its first generator carries a; taking it as the complement
+    # divides glueing entries by a - 1/2
+    cases = [period_data_from_document({
+        "dimension": 3, "numbers": {"a": {"type": "formal"}},
+        "generators": [["2-4*a", "-4/3-4*i", "-6"], ["-1/2", "1", "0"],
+                       ["-1/2", "0", "1"], ["-2+2*a", "2/3+2*i", "11/3+2*i"],
+                       ["-3/2", "0", "2/3+2*i"]]})]
+    for tower, count, qmax in (("Q", 12, 2), ("Q(sqrt2)", 8, 1),
+                               ("Q(a)", 8, 1), ("Q(sqrt2)(a)", 4, 1)):
+        cases += [_random_splitting_case(rng, tower, qmax)
+                  for _ in range(count)]
+    verdicts = []
+    for pd in cases:
+        seen = set()
+        for _ in range(3):
+            nf = toroidal_normalize(pd)
+            rm = remmert_morimoto(nf)
+            assert toroidal_oracle.remmert_morimoto(nf) \
+                == (rm.a, rm.b, rm.toroidal_dim)
+            verdict = theta_classify(nf.R, pd.param_spec, scan_bound=4)
+            seen.add((rm.a, rm.b, rm.toroidal_dim, verdict.kind))
+            gens = list(pd.generators)
+            rng.shuffle(gens)
+            pd = PeriodData(pd.field, pd.n, gens, pd.param_spec)
+        assert len(seen) == 1, (pd, seen)
+        verdicts += seen
+    assert verdicts[0] == (0, 0, 3, "undetermined")
 
 
 class TestIrrationality:
@@ -326,20 +362,6 @@ class TestThetaClassification:
         assert v.max_ratio is not None and v.max_ratio > 0
 
 
-class TestHausdorffHodge:
-    def test_binomial_dimensions(self, leaf_pd):
-        assert hausdorff_hodge(leaf_pd, 0, 1) == 1
-        assert hausdorff_hodge(leaf_pd, 1, 1) == 2
-        assert hausdorff_hodge(leaf_pd, 0, 0) == 1
-        assert hausdorff_hodge(leaf_pd, 1, 2) == 0
-
-    def test_non_toroidal_rejected(self):
-        pd = period_data_from_document(
-            {"dimension": 1, "numbers": {}, "generators": [["1"]]})
-        with pytest.raises(UnsupportedError):
-            hausdorff_hodge(pd, 0, 0)
-
-
 class TestLeafAnalysis:
     def test_formal_parameter(self, h7, example_case):
         g, L, f, f0 = example_case
@@ -348,12 +370,10 @@ class TestLeafAnalysis:
         assert leaf.classification == "toroidal (theta/wild undetermined)"
         assert len(leaf.lattice_coeffs) == 3
         nf = leaf.rm.normal_form
-        cf = leaf.period.cfield
-        a = cf.coerce(leaf.period.field.gen())
-        assert nf.display_rows() == (
-            (cf.from_int(1), cf.zero(), a),
-            (cf.zero(), cf.from_int(1), cf.i()),
-        )
+        field, cf = leaf.period.field, leaf.period.cfield
+        assert (nf.k, nf.q) == (1, 1)
+        assert nf.R == Matrix(field, [[field.zero(), field.gen()]])
+        assert nf.P == Matrix(cf, [[cf.one(), cf.i()]])
 
     def test_rational_parameter_gives_torus(self, h7):
         g, L, f, f0 = substituted_case(h7, Fraction(1, 2))

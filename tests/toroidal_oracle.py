@@ -20,9 +20,23 @@ from nilcohom.toroidal import (
 )
 
 
+def display_rows(nf):
+    """The (k+q) x (k+2q) block matrix [I_k R; 0 P] over the
+    complexified field."""
+    cf = nf.pd.cfield
+    zero, one = cf.zero(), cf.one()
+    rows = []
+    for i in range(nf.k):
+        rows.append([one if j == i else zero for j in range(nf.k)]
+                    + [cf.coerce(x) for x in nf.R.rows[i]])
+    for i in range(nf.q):
+        rows.append([zero] * nf.k + list(nf.P.rows[i]))
+    return rows
+
+
 def normal_form_period_data(nf):
     """The toroidal block itself as period data of dimension k + q."""
-    rows = nf.display_rows()
+    rows = display_rows(nf)
     gens = [[rows[i][j] for i in range(nf.k + nf.q)]
             for j in range(nf.k + 2 * nf.q)]
     return PeriodData(nf.pd.field, nf.k + nf.q, gens, nf.pd.param_spec)
@@ -33,7 +47,7 @@ def split_one_cstar(nf, sigma):
     return the reduced period data (one complex dimension fewer)."""
     cf = nf.pd.cfield
     k, q = nf.k, nf.q
-    rows = [list(r) for r in nf.display_rows()]
+    rows = display_rows(nf)
     ncols = k + 2 * q
     # invertible coordinate change on the k-block sending the first
     # coordinate to sigma . z; rows are coordinates, so this need not
